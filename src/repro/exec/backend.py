@@ -36,6 +36,7 @@ from ..gpu.memory import DeviceArray
 from ..obs.context import active_tracer
 from ..obs.lanes import HOST
 from .batch import SlabSpec, union_pds
+from .plan import CopyPlan, StreamPlan
 from .stats import ExecStats, attribution_report
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -121,179 +122,27 @@ def _interior_box(patch: "Patch", pd) -> "Box":
     return type(pd).index_box(patch.box, getattr(pd, "axis", None))
 
 
-# -- stacked batched region copies --------------------------------------------
-#
-# The batched pack/unpack/copy primitives receive lists of regions; when
-# the operands are members of *uniform* arenas (``--batch``) and many
-# regions sit at identical offsets inside their members' frames — the
-# common halo geometry on a uniformly tiled level — the per-region Python
-# loop collapses to one fancy-indexed NumPy op over the stacked slab per
-# group.  Regions that do not group (non-arena storage, ragged arenas,
-# singleton groups, duplicate destinations) replay the per-region
-# fallback, so results are bitwise identical either way.  The
-# stacked/fallback split is recorded as ``StackCounter`` in ExecStats.
-
-
-def _stack_member(pd):
-    """(arena, stacked index) when ``pd`` tiles a uniform arena, else None."""
-    arena = getattr(pd, "_arena", None)
-    if arena is None or not getattr(arena, "uniform", False):
-        return None
-    index = getattr(pd, "_arena_index", None)
-    return None if index is None else (arena, index)
-
-
-def _rel_slices(pd, region):
-    """Region slices relative to ``pd``'s frame, plus a hashable key."""
-    sl = region.slices_in(pd.data.frame)
-    return sl, tuple((s.start, s.stop) for s in sl)
-
-
-def plan_stacked_copies(items):
-    """Split ``(dst_pd, src_pd, region)`` items into stacked groups + rest.
-
-    Returns ``(groups, rest, eligible)``: each group is
-    ``(dst_arena, src_arena, dst_slices, src_slices, dst_idx, src_idx)``
-    ready to run as one stacked assignment; ``rest`` keeps the original
-    items for the per-region loop; ``eligible`` counts items whose
-    operands were arena members at all (0 means a plain non-batch run).
-    """
-    if len(items) < 2:
-        return [], list(items), 0
-    buckets: dict = {}
-    rest = []
-    eligible = 0
-    for item in items:
-        dst_pd, src_pd, region = item
-        d = _stack_member(dst_pd)
-        s = _stack_member(src_pd)
-        if d is None or s is None:
-            rest.append(item)
-            continue
-        try:
-            dsl, dkey = _rel_slices(dst_pd, region)
-            ssl, skey = _rel_slices(src_pd, region)
-        except IndexError:
-            rest.append(item)
-            continue
-        eligible += 1
-        key = (id(d[0]), id(s[0]), dkey, skey)
-        entry = buckets.get(key)
-        if entry is None:
-            entry = buckets[key] = (d[0], s[0], dsl, ssl, [], [], [])
-        entry[4].append(d[1])
-        entry[5].append(s[1])
-        entry[6].append(item)
-    groups = []
-    for darena, sarena, dsl, ssl, di, si, members in buckets.values():
-        if len(members) < 2 or len(set(di)) != len(di):
-            rest.extend(members)
-            continue
-        groups.append((darena, sarena, dsl, ssl,
-                       np.asarray(di), np.asarray(si)))
-    return groups, rest, eligible
-
-
-def _run_stacked_copies(groups) -> None:
-    for darena, sarena, dsl, ssl, di, si in groups:
-        darena.stacked_view()[(di,) + dsl] = \
-            sarena.stacked_view()[(si,) + ssl]
-
-
-def plan_stacked_stream(items):
-    """Split ``(pd, region)`` pack/unpack items into stacked groups + rest.
-
-    Groups carry the stream offsets of their members so gather/scatter
-    against the contiguous buffer stays in pack order.  Returns
-    ``(groups, rest, eligible)`` with each group
-    ``(arena, slices, shape, size, idx, offsets)`` and ``rest`` holding
-    ``(pd, region, offset)`` triples.
-    """
-    if len(items) < 2:
-        off = 0
-        rest = []
-        for pd, region in items:
-            rest.append((pd, region, off))
-            off += region.size()
-        return [], rest, 0
-    buckets: dict = {}
-    rest = []
-    eligible = 0
-    off = 0
-    for pd, region in items:
-        n = region.size()
-        m = _stack_member(pd)
-        if m is None:
-            rest.append((pd, region, off))
-            off += n
-            continue
-        try:
-            sl, skey = _rel_slices(pd, region)
-        except IndexError:
-            rest.append((pd, region, off))
-            off += n
-            continue
-        eligible += 1
-        entry = buckets.get((id(m[0]), skey))
-        if entry is None:
-            entry = buckets[(id(m[0]), skey)] = (m[0], sl, [], [], [])
-        entry[2].append(m[1])
-        entry[3].append(off)
-        entry[4].append((pd, region, off))
-        off += n
-    groups = []
-    for arena, sl, idx, offs, members in buckets.values():
-        if len(members) < 2 or len(set(idx)) != len(idx):
-            rest.extend(members)
-            continue
-        shape = tuple(s.stop - s.start for s in sl)
-        size = 1
-        for s in shape:
-            size *= s
-        groups.append((arena, sl, shape, size,
-                       np.asarray(idx), np.asarray(offs)))
-    return groups, rest, eligible
-
-
-def _run_stacked_pack(groups, out) -> None:
-    for arena, sl, _shape, n, idx, offs in groups:
-        out[offs[:, None] + np.arange(n)] = \
-            arena.stacked_view()[(idx,) + sl].reshape(len(idx), n)
-
-
-def _run_stacked_unpack(groups, buffer) -> None:
-    for arena, sl, shape, n, idx, offs in groups:
-        arena.stacked_view()[(idx,) + sl] = \
-            buffer[offs[:, None] + np.arange(n)].reshape((len(idx),) + shape)
-
-
-def _fused_pack_to_host(device, items, stats=None) -> np.ndarray:
-    """One pack kernel into one device buffer, one D2H, for many regions.
-
-    ``items`` is an iterable of ``(patch_data, region_box)``; regions are
-    packed back-to-back in order (the paper's MessageStream scheme).
-    Uniform-arena regions are gathered by stacked slab ops rather than a
-    per-region loop; ``stats`` (an ExecStats) records the split.
-    """
-    items = list(items)
-    total = sum(region.size() for _, region in items)
-    dbuf = DeviceArray(device, (total,))
-    groups, rest, eligible = plan_stacked_stream(items)
-
-    def body():
-        out = dbuf.kernel_view()
-        _run_stacked_pack(groups, out)
-        for pd, region, off in rest:
-            n = region.size()
-            out[off:off + n] = pd.data.view(region).reshape(-1)
-
-    device.launch("pdat.pack", total, body)
-    if stats is not None and eligible:
-        stats.record_stack("pdat.pack", len(items) - len(rest),
-                           len(groups), len(rest))
+def _fused_pack_to_host(device, plan: StreamPlan) -> np.ndarray:
+    """One pack kernel into one device buffer, one D2H, for many regions
+    laid back-to-back (the paper's MessageStream scheme)."""
+    dbuf = _device_pack(device, plan)
     host = device.to_host(dbuf)
     dbuf.free()
     return host
+
+
+def _device_pack(device, plan: StreamPlan):
+    """One ``pdat.pack`` launch gathering ``plan`` into a device buffer."""
+    dbuf = DeviceArray(device, (plan.total,))
+    device.launch("pdat.pack", plan.total,
+                  lambda: plan.pack_into(dbuf.kernel_view()))
+    return dbuf
+
+
+def _device_unpack(device, dbuf, plan: StreamPlan) -> None:
+    """One ``pdat.unpack`` launch scattering a device buffer into ``plan``."""
+    device.launch("pdat.unpack", plan.total,
+                  lambda: plan.unpack_from(dbuf.kernel_view()))
 
 
 class Backend(abc.ABC):
@@ -550,66 +399,44 @@ class Backend(abc.ABC):
         self._cpu("pdat.unpack", region.size(),
                   lambda: pd.unpack_stream(buf, region))
 
-    def _note_stack(self, kernel: str, nitems: int, groups, rest,
-                    eligible: int) -> None:
-        """Record a stacked/fallback split when arenas were in play."""
-        if eligible and self.rank is not None:
+    def _note_stack(self, kernel: str, plan) -> None:
+        """Record a plan's stacked/fallback split when arenas were in play."""
+        if plan.eligible and self.rank is not None:
             self.rank.exec_stats.record_stack(
-                kernel, nitems - len(rest), len(groups), len(rest))
+                kernel, len(plan) - plan.fallback, len(plan.groups),
+                plan.fallback)
 
-    def pack_batch(self, items) -> np.ndarray:
-        """Pack many ``(patch_data, region)`` items into one host buffer."""
-        items = list(items)
-        total = sum(region.size() for _, region in items)
-        groups, rest, eligible = plan_stacked_stream(items)
+    # -- batched transfers --------------------------------------------------
+    #
+    # The batched pack/unpack/copy primitives execute lowered plans
+    # (:mod:`repro.exec.plan`): uniform-arena regions at identical frame
+    # offsets run as one stacked NumPy op per group, everything else as a
+    # per-region loop over precomputed slices — bitwise identical either
+    # way, with the split recorded as ``StackCounter`` in ExecStats.
+
+    def pack_batch(self, plan: StreamPlan) -> np.ndarray:
+        """Pack a stream plan's items into one host buffer."""
 
         def body():
-            out = np.empty(total, dtype=np.float64)
-            _run_stacked_pack(groups, out)
-            for pd, region, off in rest:
-                n = region.size()
-                out[off:off + n] = pd.data.view(region).reshape(-1)
+            out = np.empty(plan.total, dtype=np.float64)
+            plan.pack_into(out)
             return out
 
-        result = self._cpu("pdat.pack", total, body)
-        self._note_stack("pdat.pack", len(items), groups, rest, eligible)
+        result = self._cpu("pdat.pack", plan.total, body)
+        self._note_stack("pdat.pack", plan)
         return result
 
-    def unpack_batch(self, buffer: np.ndarray, items) -> None:
-        """Unpack one host buffer into many items, in pack order."""
-        items = list(items)
-        total = sum(region.size() for _, region in items)
-        groups, rest, eligible = plan_stacked_stream(items)
+    def unpack_batch(self, buffer: np.ndarray, plan: StreamPlan) -> None:
+        """Unpack one host buffer into a stream plan's items, in pack order."""
+        self._cpu("pdat.unpack", plan.total, plan.unpack_from, buffer)
+        self._note_stack("pdat.unpack", plan)
 
-        def body():
-            _run_stacked_unpack(groups, buffer)
-            for pd, region, off in rest:
-                n = region.size()
-                pd.data.view(region)[...] = buffer[off:off + n].reshape(
-                    tuple(region.shape()))
-
-        self._cpu("pdat.unpack", total, body)
-        self._note_stack("pdat.unpack", len(items), groups, rest, eligible)
-
-    def copy_batch(self, items) -> None:
-        """Fuse many same-resource ``(dst_pd, src_pd, region)`` copies.
-
-        Uniform-arena regions at identical frame offsets run as stacked
-        slab assignments (one NumPy op per group); everything else keeps
-        the per-region loop.  The split is bitwise inert: copies in one
-        batch have disjoint destinations.
-        """
-        items = list(items)
-        total = sum(region.size() for _, _, region in items)
-        groups, rest, eligible = plan_stacked_copies(items)
-
-        def body():
-            _run_stacked_copies(groups)
-            for dst_pd, src_pd, region in rest:
-                dst_pd.data.view(region)[...] = src_pd.data.view(region)
-
-        self._cpu("pdat.copy", total, body)
-        self._note_stack("pdat.copy", len(items), groups, rest, eligible)
+    def copy_batch(self, plan: CopyPlan) -> None:
+        """Run a plan of same-resource ``(dst_pd, src_pd, region)`` copies
+        as one fused pass; the split is bitwise inert because copies in
+        one batch have disjoint destinations."""
+        self._cpu("pdat.copy", plan.total, plan.run)
+        self._note_stack("pdat.copy", plan)
 
     # -- staged batch transfers (the task-graph decomposition) ----------------
     #
@@ -619,9 +446,9 @@ class Backend(abc.ABC):
     # host → staging (H2D), staging → unpack.  On host backends the
     # staging buffer *is* the host buffer and the copy legs are free.
 
-    def pack_batch_staged(self, items):
+    def pack_batch_staged(self, plan: StreamPlan):
         """Pack a batch into a staging buffer on the data's resource."""
-        return self.pack_batch(items)
+        return self.pack_batch(plan)
 
     def copy_out(self, staging, stream=None) -> np.ndarray:  # noqa: ARG002
         """Move a staging buffer to host memory (D2H leg; host: no-op)."""
@@ -631,9 +458,9 @@ class Backend(abc.ABC):
         """Move a host buffer to a staging buffer (H2D leg; host: no-op)."""
         return host_buf
 
-    def unpack_batch_staged(self, staging, items) -> None:
+    def unpack_batch_staged(self, staging, plan: StreamPlan) -> None:
         """Unpack a staging buffer into the batch items, in pack order."""
-        self.unpack_batch(staging, items)
+        self.unpack_batch(staging, plan)
 
     def _cpu(self, kernel: str, elements: int, fn, *args):
         """Run a charged host pass (uncharged when no rank is attached)."""
@@ -703,60 +530,25 @@ class ResidentDeviceBackend(Backend):
     def unpack_region(self, pd, buf, region):
         pd.unpack_stream(buf, region)  # H2D + device kernel, self-charging
 
-    def pack_batch(self, items):
-        return _fused_pack_to_host(
-            self.device, items,
-            stats=self.rank.exec_stats if self.rank is not None else None)
+    def pack_batch(self, plan):
+        return self.copy_out(self.pack_batch_staged(plan))
 
-    def unpack_batch(self, buffer, items):
-        items = list(items)
-        total = sum(region.size() for _, region in items)
+    def unpack_batch(self, buffer, plan):
         dbuf = self.device.from_host(np.ascontiguousarray(buffer))
-        groups, rest, eligible = plan_stacked_stream(items)
-
-        def body():
-            src = dbuf.kernel_view()
-            _run_stacked_unpack(groups, src)
-            for pd, region, off in rest:
-                n = region.size()
-                pd.data.view(region)[...] = src[off:off + n].reshape(
-                    tuple(region.shape()))
-
-        self.device.launch("pdat.unpack", total, body)
-        self._note_stack("pdat.unpack", len(items), groups, rest, eligible)
+        _device_unpack(self.device, dbuf, plan)
+        self._note_stack("pdat.unpack", plan)
         dbuf.free()
 
-    def copy_batch(self, items):
-        items = list(items)
-        total = sum(region.size() for _, _, region in items)
-        groups, rest, eligible = plan_stacked_copies(items)
-
-        def body():
-            _run_stacked_copies(groups)
-            for dst_pd, src_pd, region in rest:
-                dst_pd.data.view(region)[...] = src_pd.data.view(region)
-
-        self.device.launch("pdat.copy", total, body)
-        self._note_stack("pdat.copy", len(items), groups, rest, eligible)
+    def copy_batch(self, plan):
+        self.device.launch("pdat.copy", plan.total, plan.run)
+        self._note_stack("pdat.copy", plan)
 
     # -- staged batch transfers ------------------------------------------------
 
-    def pack_batch_staged(self, items):
+    def pack_batch_staged(self, plan):
         """One pack kernel into one device buffer; the D2H leg is separate."""
-        items = list(items)
-        total = sum(region.size() for _, region in items)
-        dbuf = DeviceArray(self.device, (total,))
-        groups, rest, eligible = plan_stacked_stream(items)
-
-        def body():
-            out = dbuf.kernel_view()
-            _run_stacked_pack(groups, out)
-            for pd, region, off in rest:
-                n = region.size()
-                out[off:off + n] = pd.data.view(region).reshape(-1)
-
-        self.device.launch("pdat.pack", total, body)
-        self._note_stack("pdat.pack", len(items), groups, rest, eligible)
+        dbuf = _device_pack(self.device, plan)
+        self._note_stack("pdat.pack", plan)
         return dbuf
 
     def copy_out(self, staging, stream=None):
@@ -768,21 +560,9 @@ class ResidentDeviceBackend(Backend):
         return self.device.from_host(np.ascontiguousarray(host_buf),
                                      stream=stream)
 
-    def unpack_batch_staged(self, staging, items):
-        items = list(items)
-        total = sum(region.size() for _, region in items)
-        groups, rest, eligible = plan_stacked_stream(items)
-
-        def body():
-            src = staging.kernel_view()
-            _run_stacked_unpack(groups, src)
-            for pd, region, off in rest:
-                n = region.size()
-                pd.data.view(region)[...] = src[off:off + n].reshape(
-                    tuple(region.shape()))
-
-        self.device.launch("pdat.unpack", total, body)
-        self._note_stack("pdat.unpack", len(items), groups, rest, eligible)
+    def unpack_batch_staged(self, staging, plan):
+        _device_unpack(self.device, staging, plan)
+        self._note_stack("pdat.unpack", plan)
         staging.free()
 
 
@@ -869,8 +649,8 @@ def read_patch_fields(patch: "Patch", names) -> dict[str, np.ndarray]:
             out[name] = pd.data.view(interior)
     if device_items:
         device = device_items[0][1].device
-        host = _fused_pack_to_host(
-            device, [(pd, box) for _, pd, box in device_items])
+        host = _fused_pack_to_host(device, StreamPlan.compile(
+            [(pd, box) for _, pd, box in device_items]))
         off = 0
         for name, _pd, box in device_items:
             n = box.size()

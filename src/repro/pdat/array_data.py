@@ -40,6 +40,10 @@ class ArrayData:
         """A writable view of the region ``box`` (must lie in the frame)."""
         return self.array[box.slices_in(self.frame)]
 
+    def full_view(self) -> np.ndarray:
+        """The whole frame array (the device storage's kernel-view twin)."""
+        return self.array
+
     def fill(self, value: float, box: Box | None = None) -> None:
         if box is None:
             self.array.fill(value)

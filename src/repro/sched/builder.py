@@ -24,6 +24,7 @@ from .task import Task, TaskGraph, TaskKind
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..comm.simcomm import Rank, SimCommunicator
+    from ..exec.plan import CopyPlan, StreamPlan
 
 __all__ = ["GraphBuilder"]
 
@@ -228,8 +229,10 @@ class GraphBuilder:
 
     # -- data-motion emitters (used by the xfer schedules) ---------------------
 
-    def copy(self, rank: "Rank", items, label: str, ghost: bool = False) -> Task:
-        """Fused same-resource copies: ``(dst_pd, src_pd, region)`` items.
+    def copy(self, rank: "Rank", plan: "CopyPlan", label: str,
+             ghost: bool = False) -> Task:
+        """Fused same-resource copies, lowered into a
+        :class:`~repro.exec.plan.CopyPlan`.
 
         ``ghost=True`` marks a halo-fill copy: the destinations' ghost
         regions now mirror the sources' interiors (stamped for the
@@ -237,13 +240,12 @@ class GraphBuilder:
         """
         from ..xfer.message import copy_batch_local
 
-        marks = ([("stamp", dst, (src,)) for dst, src, _ in items]
-                 if ghost else ())
+        marks = ([("stamp", dst, (src,))
+                  for dst, src in zip(plan.dsts, plan.srcs)] if ghost else ())
         return self.add(
             TaskKind.COPY, rank.index, label,
-            lambda _stream: copy_batch_local(items, rank),
-            reads=[src for _, src, _ in items],
-            writes=[dst for dst, _, _ in items],
+            lambda _stream: copy_batch_local(plan, rank),
+            reads=list(plan.srcs), writes=list(plan.dsts),
             ghost_only=ghost, marks=marks)
 
     def boundary(self, patch, variables, rank: "Rank", boundary,
@@ -257,28 +259,29 @@ class GraphBuilder:
             ghost_only=True, marks=[("stamp", pd, (pd,)) for pd in pds])
 
     def stream_batch(self, src_rank: "Rank", dst_rank: "Rank",
-                     pack_items, unpack_items, label: str,
+                     pack_plan: "StreamPlan", unpack_plan: "StreamPlan",
+                     label: str,
                      ghost: bool = False) -> Task:
         """One cross-rank MessageStream as a pipeline of typed stages.
 
         pack (src compute) → D2H (src copy engine) → send (src NIC) →
         recv (dst host) → H2D (dst copy engine) → unpack (dst compute).
         On host-resident data the staging and PCIe legs are no-ops and
-        only the pack/send/recv/unpack stages carry cost.  Returns the
-        unpack task (the stage downstream consumers depend on).
+        only the pack/send/recv/unpack stages carry cost.  Both sides
+        are lowered :class:`~repro.exec.plan.StreamPlan` objects.  Returns
+        the unpack task (the stage downstream consumers depend on).
         """
         from ..comm.simcomm import Message
         from ..exec.backend import backend_for
-        from ..xfer.message import batch_size_bytes
         from ..xfer.transfer import MESSAGE_HEADER_BYTES
 
-        src_backend = backend_for(pack_items[0][0], src_rank)
-        dst_backend = backend_for(unpack_items[0][0], dst_rank)
-        nbytes = batch_size_bytes(pack_items) + MESSAGE_HEADER_BYTES
+        src_backend = backend_for(pack_plan.pds[0], src_rank)
+        dst_backend = backend_for(unpack_plan.pds[0], dst_rank)
+        nbytes = pack_plan.total * 8 + MESSAGE_HEADER_BYTES
         box: dict[str, object] = {}
 
         def do_pack(stream):
-            box["staging"] = src_backend.pack_batch_staged(pack_items)
+            box["staging"] = src_backend.pack_batch_staged(pack_plan)
 
         def do_d2h(stream):
             box["host"] = src_backend.copy_out(box["staging"], stream=stream)
@@ -294,10 +297,10 @@ class GraphBuilder:
             box["landing"] = dst_backend.copy_in(box["host"], stream=stream)
 
         def do_unpack(stream):
-            dst_backend.unpack_batch_staged(box["landing"], unpack_items)
+            dst_backend.unpack_batch_staged(box["landing"], unpack_plan)
 
         t_pack = self.add(TaskKind.PACK, src_rank.index, f"{label}.pack",
-                          do_pack, reads=[pd for pd, _ in pack_items])
+                          do_pack, reads=list(pack_plan.pds))
         t_d2h = self.add(TaskKind.D2H, src_rank.index, f"{label}.d2h",
                          do_d2h, after=(t_pack,))
         t_send = self.add(TaskKind.SEND, src_rank.index, f"{label}.send",
@@ -306,9 +309,9 @@ class GraphBuilder:
                           do_recv, after=(t_send,))
         t_h2d = self.add(TaskKind.H2D, dst_rank.index, f"{label}.h2d",
                          do_h2d, after=(t_recv,))
-        marks = ([("stamp", dst, (src,)) for (src, _), (dst, _)
-                  in zip(pack_items, unpack_items)] if ghost else ())
+        marks = ([("stamp", dst, (src,)) for src, dst
+                  in zip(pack_plan.pds, unpack_plan.pds)] if ghost else ())
         return self.add(TaskKind.UNPACK, dst_rank.index, f"{label}.unpack",
                         do_unpack, after=(t_h2d,),
-                        writes=[pd for pd, _ in unpack_items],
+                        writes=list(unpack_plan.pds),
                         ghost_only=ghost, marks=marks)

@@ -11,12 +11,14 @@ network, as on the real machine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
+from ..exec.backend import frame_of
+from ..exec.plan import CopyPlan, StreamPlan, relative
 from ..mesh.box import Box
 from ..mesh.variables import Variable
 from ..geom.operators import CellMassWeightedCoarsen
-from .refine_schedule import temp_box_for
+from .refine_schedule import _free, temp_box_for, temp_variable
 from .overlap import index_box_for
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -48,6 +50,75 @@ class _CoarsenTransaction:
     region: Box  # coarse centring index space
 
 
+class _ShipEntry(NamedTuple):
+    """One variable of a lowered coarsen transaction."""
+
+    spec: CoarsenSpec
+    region: Box        # coarse centring index space
+    temp_var: Variable
+    temp_box: Box
+    coarse_pd: object
+    temp_slices: tuple   # the region in the temp (its frame is the region)
+    coarse_slices: tuple  # the region in the coarse patch data
+    start: int         # stream offsets of a cross-rank ship
+    stop: int
+    shape: tuple
+
+
+class _ShipPlan:
+    """One coarsen transaction lowered for replay.
+
+    Per variable a :class:`_ShipEntry`; for a cross-rank transaction also
+    the coarse side's stream plan and the message size.  The temps
+    themselves are allocated and freed on every synchronisation.
+    """
+
+    __slots__ = ("t", "fine_owner", "coarse_owner", "entries", "total",
+                 "unpack", "nbytes")
+
+    def __init__(self, t: _CoarsenTransaction, specs: list[CoarsenSpec]):
+        from .transfer import MESSAGE_HEADER_BYTES
+
+        self.t = t
+        self.fine_owner = t.fine_patch.owner
+        self.coarse_owner = t.coarse_patch.owner
+        self.entries: list[_ShipEntry] = []
+        off = 0
+        for spec in specs:
+            var = spec.var
+            region = index_box_for(var, t.region)
+            coarse_pd = t.coarse_patch.data(var.name)
+            n = region.size()
+            temp_slices, shape = relative(region, region)
+            self.entries.append(_ShipEntry(
+                spec, region, temp_variable(var), temp_box_for(var, region),
+                coarse_pd, temp_slices,
+                relative(region, frame_of(coarse_pd))[0], off, off + n,
+                shape))
+            off += n
+        self.total = off
+        self.unpack = None
+        self.nbytes = 0
+        if self.fine_owner != self.coarse_owner:
+            self.unpack = StreamPlan.compile(
+                [(e.coarse_pd, e.region) for e in self.entries])
+            self.nbytes = off * 8 + MESSAGE_HEADER_BYTES
+
+    def copy_plan(self, temps) -> CopyPlan:
+        """Same-rank ship: temps into the coarse patch data."""
+        return CopyPlan(
+            [e.coarse_pd for e in self.entries], list(temps), self.total, (),
+            [(e.coarse_pd, temp, e.coarse_slices, e.temp_slices)
+             for e, temp in zip(self.entries, temps)])
+
+    def pack_plan(self, temps) -> StreamPlan:
+        """Cross-rank ship, fine side: temps packed back-to-back."""
+        return StreamPlan(
+            list(temps), self.total, (),
+            [(temp, e.temp_slices, e.start, e.stop, e.shape)
+             for e, temp in zip(self.entries, temps)])
+
+
 class CoarsenSchedule:
     """Synchronises data from ``fine_level`` onto ``coarse_level``."""
 
@@ -74,6 +145,17 @@ class CoarsenSchedule:
         self.slab = slab
         self.transactions: list[_CoarsenTransaction] = []
         self._build()
+        self._plan: list[_ShipPlan] | None = None
+
+    @property
+    def plan(self) -> list[_ShipPlan]:
+        """Every transaction lowered for replay, compiled on first use
+        (dropped with the schedule when the schedule cache purges it)."""
+        plan = self._plan
+        if plan is None:
+            plan = self._plan = [_ShipPlan(t, self.specs)
+                                 for t in self.transactions]
+        return plan
 
     def _member_for(self, spec: CoarsenSpec, fine_patch: "Patch", temp,
                     region: Box, ratio):
@@ -115,16 +197,13 @@ class CoarsenSchedule:
             self._coarsen_batched(messages, chk, ratio)
             self.comm.exchange(messages)
             return
-        for t in self.transactions:
-            fine_rank = self.comm.rank(t.fine_patch.owner)
+        for sp in self.plan:
+            t = sp.t
+            fine_rank = self.comm.rank(sp.fine_owner)
             temps = []
-            for spec in self.specs:
+            for spec, region, temp_var, temp_box, *_ in sp.entries:
                 var = spec.var
-                region = self._region_for(var, t.region)
-                temp_var = Variable(f"_tmp_{var.name}", var.centring, 0, var.axis)
-                temp = self.factory.allocate(
-                    temp_var, temp_box_for(var, region), fine_rank
-                )
+                temp = self.factory.allocate(temp_var, temp_box, fine_rank)
                 fine_pd = t.fine_patch.data(var.name)
                 op = spec.coarsen_op
                 if isinstance(op, CellMassWeightedCoarsen):
@@ -133,8 +212,8 @@ class CoarsenSchedule:
                                       rank=fine_rank)
                 else:
                     op.apply(fine_pd, temp, region, ratio, rank=fine_rank)
-                temps.append((spec, temp, region))
-            self._ship(t, temps, messages, chk)
+                temps.append(temp)
+            self._ship(sp, temps, messages, chk)
         self.comm.exchange(messages)
 
     def _coarsen_batched(self, messages, chk, ratio) -> None:
@@ -143,63 +222,43 @@ class CoarsenSchedule:
         ship phase exactly as in the reference path."""
         from ..exec.backend import backend_for
 
-        staged: list[tuple[_CoarsenTransaction, list]] = []
+        staged: list[tuple[_ShipPlan, list]] = []
         groups: dict[int, tuple[object, list]] = {}
-        for t in self.transactions:
-            fine_rank = self.comm.rank(t.fine_patch.owner)
+        for sp in self.plan:
+            fine_rank = self.comm.rank(sp.fine_owner)
             temps = []
-            for spec in self.specs:
-                var = spec.var
-                region = self._region_for(var, t.region)
-                temp_var = Variable(f"_tmp_{var.name}", var.centring, 0, var.axis)
-                temp = self.factory.allocate(
-                    temp_var, temp_box_for(var, region), fine_rank
-                )
-                member = self._member_for(spec, t.fine_patch, temp, region,
+            for spec, region, temp_var, temp_box, *_ in sp.entries:
+                temp = self.factory.allocate(temp_var, temp_box, fine_rank)
+                member = self._member_for(spec, sp.t.fine_patch, temp, region,
                                           ratio)
                 backend = backend_for(temp, fine_rank)
                 entry = groups.setdefault(id(backend), (backend, []))
                 entry[1].append(member)
-                temps.append((spec, temp, region))
-            staged.append((t, temps))
+                temps.append(temp)
+            staged.append((sp, temps))
         for backend, members in groups.values():
             backend.run_batched("geom.coarsen", members)
-        for t, temps in staged:
-            self._ship(t, temps, messages, chk)
+        for sp, temps in staged:
+            self._ship(sp, temps, messages, chk)
 
-    def _ship(self, t: "_CoarsenTransaction", temps, messages, chk) -> None:
+    def _ship(self, sp: _ShipPlan, temps, messages, chk) -> None:
         """Move one transaction's coarsened temps to the coarse owner."""
         from ..comm.simcomm import Message
         from .message import copy_batch_local, pack_batch, unpack_batch
-        from .transfer import MESSAGE_HEADER_BYTES
 
-        fine_rank = self.comm.rank(t.fine_patch.owner)
-        coarse_rank = self.comm.rank(t.coarse_patch.owner)
-        if fine_rank.index == coarse_rank.index:
-            copy_batch_local(
-                [(t.coarse_patch.data(s.var.name), temp, region)
-                 for s, temp, region in temps],
-                coarse_rank,
-            )
+        coarse_rank = self.comm.rank(sp.coarse_owner)
+        if sp.unpack is None:
+            copy_batch_local(sp.copy_plan(temps), coarse_rank)
         else:
-            buf = pack_batch(
-                [(temp, region) for _, temp, region in temps], fine_rank
-            )
-            messages.append(Message(fine_rank.index, coarse_rank.index,
-                                    buf.nbytes + MESSAGE_HEADER_BYTES))
-            unpack_batch(
-                buf,
-                [(t.coarse_patch.data(s.var.name), region)
-                 for s, _, region in temps],
-                coarse_rank,
-            )
+            buf = pack_batch(sp.pack_plan(temps),
+                             self.comm.rank(sp.fine_owner))
+            messages.append(Message(sp.fine_owner, sp.coarse_owner,
+                                    sp.nbytes))
+            unpack_batch(buf, sp.unpack, coarse_rank)
         if chk is not None:
-            for s, _, _ in temps:
-                chk.note_interior_write(t.coarse_patch.data(s.var.name))
-        for _, temp, _ in temps:
-            free = getattr(temp, "free", None)
-            if free is not None:
-                free()
+            for entry in sp.entries:
+                chk.note_interior_write(entry.coarse_pd)
+        _free(temps)
 
     def emit_tasks(self, gb) -> None:
         """Record this synchronisation into a graph builder.
@@ -214,17 +273,15 @@ class CoarsenSchedule:
         from ..sched.task import TaskKind
 
         ratio = self.fine_level.ratio_to_coarser
-        for t in self.transactions:
-            fine_rank = self.comm.rank(t.fine_patch.owner)
-            coarse_rank = self.comm.rank(t.coarse_patch.owner)
+        for sp in self.plan:
+            t = sp.t
+            fine_rank = self.comm.rank(sp.fine_owner)
+            coarse_rank = self.comm.rank(sp.coarse_owner)
             temps = []
-            for spec in self.specs:
+            for spec, region, temp_var, temp_box, *_ in sp.entries:
                 var = spec.var
-                region = self._region_for(var, t.region)
-                temp_var = Variable(f"_tmp_{var.name}", var.centring, 0, var.axis)
-                temp = self.factory.allocate(
-                    temp_var, temp_box_for(var, region), fine_rank
-                )
+                temp = self.factory.allocate(temp_var, temp_box, fine_rank)
+                temps.append(temp)
                 fine_pd = t.fine_patch.data(var.name)
                 op = spec.coarsen_op
                 if self.batch:
@@ -241,7 +298,6 @@ class CoarsenSchedule:
                                    list(member.writes),
                                    level=self.fine_level.level_number,
                                    slab=member.slab)
-                    temps.append((spec, temp, region))
                     continue
                 if isinstance(op, CellMassWeightedCoarsen):
                     weight_pd = t.fine_patch.data(spec.weight_name)
@@ -260,34 +316,19 @@ class CoarsenSchedule:
                 gb.add(TaskKind.KERNEL, fine_rank.index,
                        f"sync.coarsen.{var.name}", fn,
                        reads=reads, writes=[temp])
-                temps.append((spec, temp, region))
-            if fine_rank.index == coarse_rank.index:
-                gb.copy(
-                    coarse_rank,
-                    [(t.coarse_patch.data(s.var.name), temp, region)
-                     for s, temp, region in temps],
-                    "sync.copy")
+            if sp.unpack is None:
+                gb.copy(coarse_rank, sp.copy_plan(temps), "sync.copy")
             else:
                 gb.stream_batch(
-                    fine_rank, coarse_rank,
-                    [(temp, region) for _, temp, region in temps],
-                    [(t.coarse_patch.data(s.var.name), region)
-                     for s, _, region in temps],
+                    fine_rank, coarse_rank, sp.pack_plan(temps), sp.unpack,
                     f"sync.L{self.fine_level.level_number}",
                 )
 
             def free_temps(stream, temps=temps):
-                for _, temp, _ in temps:
-                    free = getattr(temp, "free", None)
-                    if free is not None:
-                        free()
+                _free(temps)
 
             gb.add(TaskKind.HOST, fine_rank.index, "sync.free", free_temps,
-                   writes=[temp for _, temp, _ in temps])
-
-    def _region_for(self, var: Variable, cell_region: Box) -> Box:
-        """Coarse centring-space region corresponding to a cell region."""
-        return index_box_for(var, cell_region)
+                   writes=list(temps))
 
     def num_transactions(self) -> int:
         return len(self.transactions)

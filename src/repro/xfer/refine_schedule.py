@@ -22,10 +22,13 @@ it.  This mirrors SAMRAI, which caches schedules per variable context.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from ..check.context import active as _check_active
+from ..exec.backend import frame_of
+from ..exec.plan import CopyPlan, StreamPlan, relative
 from ..mesh.box import Box, IntVector
 from ..mesh.box_container import BoxContainer
 from ..mesh.variables import Variable
@@ -71,6 +74,12 @@ def needed_coarse_frame(var: Variable, region: Box, ratio: IntVector) -> Box:
     upper = list(out.upper)
     upper[var.axis] += 1  # bracketing coarse face in the normal direction
     return Box(out.lower, upper)
+
+
+@functools.lru_cache(maxsize=256)
+def temp_variable(var: Variable) -> Variable:
+    """The zero-ghost variable of a schedule temporary holding ``var``."""
+    return Variable(f"_tmp_{var.name}", var.centring, 0, var.axis)
 
 
 def temp_box_for(var: Variable, frame: Box) -> Box:
@@ -197,6 +206,181 @@ def _build_interp_geom(sig, dst, region, dst_level, coarse_level) -> _InterpGeom
     return _InterpGeom(dst, region, frame, sources)
 
 
+def _free(temps) -> None:
+    for temp in temps:
+        free = getattr(temp, "free", None)
+        if free is not None:
+            free()
+
+
+class _InterpPlan:
+    """One interpolation region of one signature group, lowered.
+
+    Holds what every fill of the region needs, derived once: the
+    temporary coarse blocks' variables and boxes, the relative slices of
+    every gather into them, the source-side stream plans of cross-rank
+    gathers, which temps need a clamp (and against which valid box), the
+    destination patch data and the sources each halo stamp names.  The
+    temps themselves are allocated and freed on every fill.
+    """
+
+    __slots__ = ("specs", "ig", "dst_owner", "temps", "dst_pds",
+                 "stamp_srcs", "gathers", "gather_total", "streams",
+                 "clamps")
+
+    def __init__(self, specs: list[FillSpec], ig: _InterpGeom,
+                 coarse_level: "PatchLevel"):
+        self.specs = specs
+        self.ig = ig
+        self.dst_owner = ig.dst_patch.owner
+        #: (temp variable, temp box) per spec; every temp's storage
+        #: frame is ``ig.coarse_frame`` (see :func:`temp_box_for`)
+        self.temps = tuple((temp_variable(spec.var),
+                            temp_box_for(spec.var, ig.coarse_frame))
+                           for spec in specs)
+        names = [spec.var.name for spec in specs]
+        self.dst_pds = tuple(ig.dst_patch.data(n) for n in names)
+        self.stamp_srcs = tuple(
+            tuple(sp.data(n) for sp, _ in ig.sources) for n in names)
+        #: same-rank sources: (spec index, src_pd, temp slices, source
+        #: slices)
+        gathers = []
+        self.gather_total = 0
+        #: cross-rank sources: (src owner, source stream plan, temp
+        #: slices, elements per spec, region shape)
+        streams = []
+        for src_patch, sub in ig.sources:
+            temp_sl, shape = relative(sub, ig.coarse_frame)
+            if src_patch.owner == self.dst_owner:
+                for j, name in enumerate(names):
+                    src_pd = src_patch.data(name)
+                    gathers.append((
+                        j, src_pd, temp_sl,
+                        relative(sub, frame_of(src_pd))[0]))
+                    self.gather_total += sub.size()
+            else:
+                pack = StreamPlan.compile(
+                    [(src_patch.data(n), sub) for n in names])
+                streams.append((src_patch.owner, pack, temp_sl, sub.size(),
+                                shape))
+        self.gathers = tuple(gathers)
+        self.streams = tuple(streams)
+        #: (spec index, temp frame, valid box) of temps reaching outside
+        #: the coarse domain
+        clamps = []
+        for j, spec in enumerate(specs):
+            valid = index_box_for(spec.var, coarse_level.domain)
+            if not valid.contains_box(ig.coarse_frame):
+                clamps.append((j, ig.coarse_frame, valid))
+        self.clamps = tuple(clamps)
+
+    def allocate(self, factory, rank) -> list:
+        """This fill's temporary coarse blocks, one per spec."""
+        return [factory.allocate(temp_var, temp_box, rank)
+                for temp_var, temp_box in self.temps]
+
+    def extend_gather(self, temps, dsts, srcs, rest) -> None:
+        """Append the same-rank gathers into ``temps`` to a copy batch."""
+        for j, src_pd, temp_sl, src_sl in self.gathers:
+            temp = temps[j]
+            dsts.append(temp)
+            srcs.append(src_pd)
+            rest.append((temp, src_pd, temp_sl, src_sl))
+
+    def gather_plan(self, temps) -> CopyPlan:
+        dsts, srcs, rest = [], [], []
+        self.extend_gather(temps, dsts, srcs, rest)
+        return CopyPlan(dsts, srcs, self.gather_total, (), rest)
+
+    @staticmethod
+    def unpack_plan(temps, temp_sl, n: int, shape) -> StreamPlan:
+        """The destination side of one cross-rank gather: ``n`` elements
+        per temp, in spec order."""
+        return StreamPlan(
+            temps, n * len(temps), (),
+            [(temp, temp_sl, j * n, (j + 1) * n, shape)
+             for j, temp in enumerate(temps)])
+
+
+def _group_copies(items) -> tuple[list, list]:
+    """Same-level copies grouped as the fill executes them.
+
+    Returns ``(local, remote)``: ``local`` holds ``(dst, [(dst_pd,
+    src_pd, region)])`` per destination patch of same-rank copies,
+    ``remote`` holds ``(src, dst, [(name, region)])`` per (source,
+    destination) pair of cross-rank copies, both in first-use order.
+    """
+    local: dict = {}
+    remote: dict = {}
+    for spec, geom in items:
+        name = spec.var.name
+        for src, dst, region in geom.copies:
+            if src.owner == dst.owner:
+                entry = local.setdefault(id(dst), (dst, []))
+                entry[1].append((dst.data(name), src.data(name), region))
+            else:
+                entry = remote.setdefault((id(src), id(dst)), (src, dst, []))
+                entry[2].append((name, region))
+    return list(local.values()), list(remote.values())
+
+
+class _FillPlan:
+    """A :class:`RefineSchedule` lowered once for replay.
+
+    The same-level copies are grouped once (:func:`_group_copies`, the
+    one lowering :meth:`RefineSchedule.fill` and
+    :meth:`RefineSchedule.emit_tasks` both consume): each cross-rank
+    stream's pack and unpack side becomes a :class:`StreamPlan` with its
+    message size precomputed, and the same-rank copies a
+    :class:`CopyPlan` per owning rank (batched fills) or per destination
+    patch (unbatched fills and the task graph), compiled on first request.
+    """
+
+    def __init__(self, sched: "RefineSchedule"):
+        from .transfer import MESSAGE_HEADER_BYTES
+
+        self._items = sched.items
+        remote = _group_copies(sched.items)[1]
+        #: (src owner, dst owner, pack plan, unpack plan, message bytes)
+        self.streams: list = []
+        for src, dst, named in remote:
+            pack = StreamPlan.compile([(src.data(n), r) for n, r in named])
+            unpack = StreamPlan.compile([(dst.data(n), r) for n, r in named])
+            self.streams.append((src.owner, dst.owner, pack, unpack,
+                                 pack.total * 8 + MESSAGE_HEADER_BYTES))
+        self.interps = [_InterpPlan(group, ig, sched.coarse_level)
+                        for geom, group in sched.sig_groups
+                        for ig in geom.interps]
+        #: (dst patch, patch data) whose timestamps a timed fill sets
+        self.timed = [(dst, [dst.data(spec.var.name) for spec, _ in sched.items])
+                      for dst in sched.dst_level]
+        self._by_owner: list | None = None
+        self._by_dst: list | None = None
+
+    def copies_by_owner(self) -> list:
+        """(owner, CopyPlan): one fused copy per owning rank (batched).
+
+        Arena-backed regions of the whole level then collapse to stacked
+        slab ops — bitwise identical, since destinations are disjoint —
+        and the modelled launch count drops, as for every ``--batch``
+        fusion.
+        """
+        if self._by_owner is None:
+            by_owner: dict[int, list] = {}
+            for dst, items in _group_copies(self._items)[0]:
+                by_owner.setdefault(dst.owner, []).extend(items)
+            self._by_owner = [(owner, CopyPlan.compile(items))
+                              for owner, items in by_owner.items()]
+        return self._by_owner
+
+    def copies_by_dst(self) -> list:
+        """(owner, CopyPlan): one fused copy per destination patch."""
+        if self._by_dst is None:
+            self._by_dst = [(dst.owner, CopyPlan.compile(items))
+                            for dst, items in _group_copies(self._items)[0]]
+        return self._by_dst
+
+
 class RefineSchedule:
     """Fills the ghost regions of every variable on a destination level."""
 
@@ -258,6 +442,24 @@ class RefineSchedule:
                 by_geom[id(geom)] = group
                 self.sig_groups.append((geom, group))
             group.append(spec)
+        #: every filled variable, in spec order (boundary fills)
+        self.variables = [spec.var for spec, _ in self.items]
+        self._plan: _FillPlan | None = None
+
+    # -- transfer plan ----------------------------------------------------------
+
+    @property
+    def plan(self) -> "_FillPlan":
+        """This schedule lowered for replay, compiled on first use.
+
+        The plan lives on the schedule, so it is dropped with it when
+        :class:`~repro.xfer.schedule_cache.ScheduleCache` purges the
+        schedule after a regrid; a schedule used once compiles it once.
+        """
+        plan = self._plan
+        if plan is None:
+            plan = self._plan = _FillPlan(self)
+        return plan
 
     # -- execution --------------------------------------------------------------
 
@@ -281,75 +483,53 @@ class RefineSchedule:
     def fill(self, time: float | None = None) -> None:
         """Execute the schedule: copies, interpolation, physical BCs.
 
-        Same-rank copies are fused into one kernel per destination patch;
-        cross-rank copies are packed per (src, dst) pair into one message
-        stream covering every variable (the paper's MessageStream path).
+        Same-rank copies are fused into one kernel per destination patch
+        (per owning rank under ``--batch``); cross-rank copies are packed
+        per (src, dst) pair into one message stream covering every
+        variable (the paper's MessageStream path).  Every batch replays
+        its lowered plan (:attr:`plan`).
         """
         from ..comm.simcomm import Message
         from .message import copy_batch_local, pack_batch, unpack_batch
-        from .transfer import MESSAGE_HEADER_BYTES
 
+        plan = self.plan
         chk = _check_active()
         if chk is not None:
             self._note_fill_start(chk)
         messages = []
         ranks = self.comm.ranks
-        local: dict = {}   # id(dst) -> (dst, [(dst_pd, src_pd, region)])
-        remote: dict = {}  # (id(src), id(dst)) -> (src, dst, [(name, region)])
-        for spec, geom in self.items:
-            name = spec.var.name
-            for src, dst, region in geom.copies:
-                if src.owner == dst.owner:
-                    entry = local.setdefault(id(dst), (dst, []))
-                    entry[1].append((dst.data(name), src.data(name), region))
-                else:
-                    entry = remote.setdefault((id(src), id(dst)), (src, dst, []))
-                    entry[2].append((name, region))
-        if self.batch:
-            # One fused copy launch per owning rank for the whole level:
-            # arena-backed regions then collapse to stacked slab ops in
-            # the backend (bitwise identical — destinations are disjoint;
-            # modelled launch count drops, as for every --batch fusion).
-            by_owner: dict[int, list] = {}
-            for dst, items in local.values():
-                by_owner.setdefault(dst.owner, []).extend(items)
-            for owner, items in by_owner.items():
-                copy_batch_local(items, ranks[owner])
-        else:
-            for dst, items in local.values():
-                copy_batch_local(items, ranks[dst.owner])
+        copies = (plan.copies_by_owner() if self.batch
+                  else plan.copies_by_dst())
+        for owner, copy in copies:
+            copy_batch_local(copy, ranks[owner])
         if chk is not None and not self.interior:
-            for _dst, items in local.values():
-                for dst_pd, src_pd, _ in items:
+            for _, copy in copies:
+                for dst_pd, src_pd in zip(copy.dsts, copy.srcs):
                     chk.stamp(dst_pd, (src_pd,))
-        for src, dst, named in remote.values():
-            buf = pack_batch([(src.data(n), r) for n, r in named],
-                             ranks[src.owner])
-            messages.append(Message(src.owner, dst.owner,
-                                    buf.nbytes + MESSAGE_HEADER_BYTES))
-            unpack_batch(buf, [(dst.data(n), r) for n, r in named],
-                         ranks[dst.owner])
+        for src_owner, dst_owner, pack, unpack, nbytes in plan.streams:
+            buf = pack_batch(pack, ranks[src_owner])
+            messages.append(Message(src_owner, dst_owner, nbytes))
+            unpack_batch(buf, unpack, ranks[dst_owner])
             if chk is not None and not self.interior:
-                for n, _ in named:
-                    chk.stamp(dst.data(n), (src.data(n),))
+                for src_pd, dst_pd in zip(pack.pds, unpack.pds):
+                    chk.stamp(dst_pd, (src_pd,))
         if self.batch:
             self._fill_interps_batched(messages)
         else:
-            for geom, group in self.sig_groups:
-                for ig in geom.interps:
-                    self._execute_interp_group(group, ig, messages)
+            for ip in plan.interps:
+                self._execute_interp_group(ip, messages)
         self.comm.exchange(messages)
         if self.boundary is not None:
-            variables = [spec.var for spec, _ in self.items]
             if self.batch:
-                self._apply_boundary_batched(variables, ranks)
+                self._apply_boundary_batched(self.variables, ranks)
             else:
                 for dst in self.dst_level:
-                    self.boundary.apply_all(dst, variables, ranks[dst.owner])
+                    self.boundary.apply_all(dst, self.variables,
+                                            ranks[dst.owner])
         if time is not None:
-            for dst in self.dst_level:
-                for spec, _ in self.items:
-                    dst.data(spec.var.name).set_time(time)
+            for _dst, pds in plan.timed:
+                for pd in pds:
+                    pd.set_time(time)
 
     def emit_tasks(self, gb, time: float | None = None) -> None:
         """Record this fill into a graph builder (the scheduler path).
@@ -359,46 +539,33 @@ class RefineSchedule:
         streams for cross-rank batches, interpolation gathers + refines,
         physical BCs, and a final host-side timestamp update.  Dependencies
         come from the builder's read/write tracking, so any topological
-        order reproduces :meth:`fill` bit for bit.
+        order reproduces :meth:`fill` bit for bit.  The tasks replay the
+        same lowered plan as :meth:`fill`.
         """
+        plan = self.plan
         chk = _check_active()
         if chk is not None:
             self._note_fill_start(chk)
         ghost = not self.interior
         ranks = self.comm.ranks
-        local: dict = {}   # id(dst) -> (dst, [(dst_pd, src_pd, region)])
-        remote: dict = {}  # (id(src), id(dst)) -> (src, dst, [(name, region)])
-        for spec, geom in self.items:
-            name = spec.var.name
-            for src, dst, region in geom.copies:
-                if src.owner == dst.owner:
-                    entry = local.setdefault(id(dst), (dst, []))
-                    entry[1].append((dst.data(name), src.data(name), region))
-                else:
-                    entry = remote.setdefault((id(src), id(dst)), (src, dst, []))
-                    entry[2].append((name, region))
-        for dst, items in local.values():
-            gb.copy(ranks[dst.owner], items, "fill.copy", ghost=ghost)
-        for src, dst, named in remote.values():
+        for owner, copies in plan.copies_by_dst():
+            gb.copy(ranks[owner], copies, "fill.copy", ghost=ghost)
+        for src_owner, dst_owner, pack, unpack, _ in plan.streams:
             gb.stream_batch(
-                ranks[src.owner], ranks[dst.owner],
-                [(src.data(n), r) for n, r in named],
-                [(dst.data(n), r) for n, r in named],
+                ranks[src_owner], ranks[dst_owner], pack, unpack,
                 f"fill.L{self.dst_level.level_number}",
                 ghost=ghost,
             )
-        for geom, group in self.sig_groups:
-            for ig in geom.interps:
-                self._emit_interp_group(gb, group, ig)
+        for ip in plan.interps:
+            self._emit_interp_group(gb, ip)
         if self.boundary is not None:
-            variables = [spec.var for spec, _ in self.items]
             for dst in self.dst_level:
-                gb.boundary(dst, variables, ranks[dst.owner], self.boundary)
+                gb.boundary(dst, self.variables, ranks[dst.owner],
+                            self.boundary)
         if time is not None:
             from ..sched.task import TaskKind
 
-            for dst in self.dst_level:
-                pds = [dst.data(spec.var.name) for spec, _ in self.items]
+            for dst, pds in plan.timed:
 
                 def set_times(stream, pds=pds):
                     for pd in pds:
@@ -407,42 +574,24 @@ class RefineSchedule:
                 gb.add(TaskKind.HOST, dst.owner, "fill.set_time", set_times,
                        reads=pds)
 
-    def _emit_interp_group(self, gb, specs: list[FillSpec],
-                           ig: _InterpGeom) -> None:
+    def _emit_interp_group(self, gb, ip: "_InterpPlan") -> None:
         """Task-graph counterpart of :meth:`_execute_interp_group`."""
         from ..exec.backend import array_of, backend_for
         from ..sched.task import TaskKind
 
-        dst_rank = self.comm.rank(ig.dst_patch.owner)
-        temps = []
-        for spec in specs:
-            var = spec.var
-            temp_var = Variable(f"_tmp_{var.name}", var.centring, 0, var.axis)
-            temps.append(self.factory.allocate(
-                temp_var, temp_box_for(var, ig.coarse_frame), dst_rank
-            ))
+        dst_rank = self.comm.rank(ip.dst_owner)
+        temps = ip.allocate(self.factory, dst_rank)
+        for src_owner, pack, *unpack in ip.streams:
+            gb.stream_batch(
+                self.comm.rank(src_owner), dst_rank, pack,
+                ip.unpack_plan(temps, *unpack),
+                f"fill.interp.L{self.dst_level.level_number}",
+            )
+        if ip.gathers:
+            gb.copy(dst_rank, ip.gather_plan(temps), "fill.gather")
 
-        local_items = []
-        for src_patch, sub in ig.sources:
-            src_rank = self.comm.rank(src_patch.owner)
-            if src_rank.index == dst_rank.index:
-                for spec, temp in zip(specs, temps):
-                    local_items.append((temp, src_patch.data(spec.var.name), sub))
-            else:
-                gb.stream_batch(
-                    src_rank, dst_rank,
-                    [(src_patch.data(s.var.name), sub) for s in specs],
-                    [(t, sub) for t in temps],
-                    f"fill.interp.L{self.dst_level.level_number}",
-                )
-        if local_items:
-            gb.copy(dst_rank, local_items, "fill.gather")
-
-        for spec, temp in zip(specs, temps):
-            frame = temp.get_ghost_box()
-            valid = index_box_for(spec.var, self.coarse_level.domain)
-            if valid.contains_box(frame):
-                continue
+        for j, frame, valid in ip.clamps:
+            temp = temps[j]
             gb.kernel_task(
                 backend_for(temp, dst_rank), dst_rank, "pdat.copy",
                 frame.size(),
@@ -450,26 +599,24 @@ class RefineSchedule:
                     array_of(temp), frame, valid),
                 [temp], [temp])
 
-        dst_pds = [ig.dst_patch.data(s.var.name) for s in specs]
+        specs = ip.specs
         ghost = not self.interior
-        marks = ([("stamp", pd, [sp.data(spec.var.name)
-                                 for sp, _ in ig.sources])
-                  for spec, pd in zip(specs, dst_pds)] if ghost else ())
+        marks = ([("stamp", pd, srcs)
+                  for pd, srcs in zip(ip.dst_pds, ip.stamp_srcs)]
+                 if ghost else ())
         gb.add(TaskKind.KERNEL, dst_rank.index, "fill.refine",
-               lambda _stream: self._fused_refine(specs, temps, ig, dst_rank),
-               reads=temps, writes=dst_pds, ghost_only=ghost, marks=marks)
+               lambda _stream: self._fused_refine(specs, temps, ip.ig,
+                                                  dst_rank),
+               reads=temps, writes=list(ip.dst_pds), ghost_only=ghost,
+               marks=marks)
 
         def free_temps(stream):
-            for temp in temps:
-                free = getattr(temp, "free", None)
-                if free is not None:
-                    free()
+            _free(temps)
 
         gb.add(TaskKind.HOST, dst_rank.index, "fill.free", free_temps,
                writes=temps)
 
-    def _execute_interp_group(self, specs: list[FillSpec], ig: _InterpGeom,
-                              messages) -> None:
+    def _execute_interp_group(self, ip: "_InterpPlan", messages) -> None:
         """Interpolate one region for every variable of one signature.
 
         Temporary coarse blocks (one per variable) are gathered together:
@@ -477,47 +624,28 @@ class RefineSchedule:
         send one message stream covering all variables, and the refine
         operator runs once per region with all variables fused.
         """
+        from ..comm.simcomm import Message
         from .message import copy_batch_local, pack_batch, unpack_batch
         from .transfer import MESSAGE_HEADER_BYTES
-        from ..comm.simcomm import Message
 
-        dst_rank = self.comm.rank(ig.dst_patch.owner)
-        temps = []
-        for spec in specs:
-            var = spec.var
-            temp_var = Variable(f"_tmp_{var.name}", var.centring, 0, var.axis)
-            temps.append(self.factory.allocate(
-                temp_var, temp_box_for(var, ig.coarse_frame), dst_rank
-            ))
+        dst_rank = self.comm.rank(ip.dst_owner)
+        temps = ip.allocate(self.factory, dst_rank)
+        for src_owner, pack, *unpack in ip.streams:
+            buf = pack_batch(pack, self.comm.rank(src_owner))
+            messages.append(Message(src_owner, ip.dst_owner,
+                                    pack.total * 8 + MESSAGE_HEADER_BYTES))
+            unpack_batch(buf, ip.unpack_plan(temps, *unpack), dst_rank)
+        if ip.gathers:
+            copy_batch_local(ip.gather_plan(temps), dst_rank)
 
-        local_items = []
-        for src_patch, sub in ig.sources:
-            src_rank = self.comm.rank(src_patch.owner)
-            if src_rank.index == dst_rank.index:
-                for spec, temp in zip(specs, temps):
-                    local_items.append((temp, src_patch.data(spec.var.name), sub))
-            else:
-                buf = pack_batch(
-                    [(src_patch.data(s.var.name), sub) for s in specs], src_rank
-                )
-                messages.append(Message(src_rank.index, dst_rank.index,
-                                        buf.nbytes + MESSAGE_HEADER_BYTES))
-                unpack_batch(buf, [(t, sub) for t in temps], dst_rank)
-        if local_items:
-            copy_batch_local(local_items, dst_rank)
-
-        for spec, temp in zip(specs, temps):
-            self._clamp_temp(temp, spec.var, dst_rank)
-        self._fused_refine(specs, temps, ig, dst_rank)
+        for j, frame, valid in ip.clamps:
+            self._clamp_temp(temps[j], frame, valid, dst_rank)
+        self._fused_refine(ip.specs, temps, ip.ig, dst_rank)
         chk = _check_active()
         if chk is not None and not self.interior:
-            for spec in specs:
-                chk.stamp(ig.dst_patch.data(spec.var.name),
-                          [sp.data(spec.var.name) for sp, _ in ig.sources])
-        for temp in temps:
-            free = getattr(temp, "free", None)
-            if free is not None:
-                free()
+            for pd, srcs in zip(ip.dst_pds, ip.stamp_srcs):
+                chk.stamp(pd, srcs)
+        _free(temps)
 
     def _fill_interps_batched(self, messages) -> None:
         """Batched interpolation: gather every temp block first, then one
@@ -537,63 +665,48 @@ class RefineSchedule:
 
         slab = SLAB_FALLBACK if self.slab else None
 
-        entries = []  # (specs, temps, ig, dst_rank)
-        gathers: dict[int, tuple[object, list]] = {}
-        for geom, specs in self.sig_groups:
-            for ig in geom.interps:
-                dst_rank = self.comm.rank(ig.dst_patch.owner)
-                temps = []
-                for spec in specs:
-                    var = spec.var
-                    temp_var = Variable(f"_tmp_{var.name}", var.centring, 0,
-                                        var.axis)
-                    temps.append(self.factory.allocate(
-                        temp_var, temp_box_for(var, ig.coarse_frame), dst_rank
-                    ))
-                for src_patch, sub in ig.sources:
-                    src_rank = self.comm.rank(src_patch.owner)
-                    if src_rank.index == dst_rank.index:
-                        entry = gathers.setdefault(
-                            dst_rank.index, (dst_rank, []))
-                        entry[1].extend(
-                            (temp, src_patch.data(spec.var.name), sub)
-                            for spec, temp in zip(specs, temps))
-                    else:
-                        buf = pack_batch(
-                            [(src_patch.data(s.var.name), sub) for s in specs],
-                            src_rank)
-                        messages.append(Message(
-                            src_rank.index, dst_rank.index,
-                            buf.nbytes + MESSAGE_HEADER_BYTES))
-                        unpack_batch(buf, [(t, sub) for t in temps], dst_rank)
-                entries.append((specs, temps, ig, dst_rank))
-        for rank, items in gathers.values():
-            copy_batch_local(items, rank)
+        entries = []  # (interp plan, temps, dst_rank)
+        gathers: dict[int, tuple] = {}  # dst owner -> (rank, copy batch)
+        for ip in self.plan.interps:
+            dst_rank = self.comm.rank(ip.dst_owner)
+            temps = ip.allocate(self.factory, dst_rank)
+            for src_owner, pack, *unpack in ip.streams:
+                buf = pack_batch(pack, self.comm.rank(src_owner))
+                messages.append(Message(
+                    src_owner, ip.dst_owner,
+                    pack.total * 8 + MESSAGE_HEADER_BYTES))
+                unpack_batch(buf, ip.unpack_plan(temps, *unpack), dst_rank)
+            if ip.gathers:
+                entry = gathers.get(ip.dst_owner)
+                if entry is None:
+                    entry = gathers[ip.dst_owner] = (dst_rank, [], [], [], [0])
+                ip.extend_gather(temps, entry[1], entry[2], entry[3])
+                entry[4][0] += ip.gather_total
+            entries.append((ip, temps, dst_rank))
+        for rank, dsts, srcs, rest, total in gathers.values():
+            copy_batch_local(CopyPlan(dsts, srcs, total[0], (), rest), rank)
 
         ghost = not self.interior
         ratio = self.dst_level.ratio_to_coarser
         clamps: dict[int, tuple[object, list]] = {}
         refines: dict[int, tuple[object, list]] = {}
-        for specs, temps, ig, dst_rank in entries:
-            for spec, temp in zip(specs, temps):
-                frame = temp.get_ghost_box()
-                valid = index_box_for(spec.var, self.coarse_level.domain)
-                if not valid.contains_box(frame):
-                    backend = backend_for(temp, dst_rank)
-                    entry = clamps.setdefault(id(backend), (backend, []))
-                    entry[1].append(BatchMember(
-                        frame.size(),
-                        lambda temp=temp, frame=frame, valid=valid:
-                            clamp_extend(array_of(temp), frame, valid),
-                        reads=(temp,), writes=(temp,), slab=slab))
-                dst_pd = ig.dst_patch.data(spec.var.name)
+        for ip, temps, dst_rank in entries:
+            for j, frame, valid in ip.clamps:
+                temp = temps[j]
+                backend = backend_for(temp, dst_rank)
+                entry = clamps.setdefault(id(backend), (backend, []))
+                entry[1].append(BatchMember(
+                    frame.size(),
+                    lambda temp=temp, frame=frame, valid=valid:
+                        clamp_extend(array_of(temp), frame, valid),
+                    reads=(temp,), writes=(temp,), slab=slab))
+            for spec, temp, dst_pd, srcs in zip(ip.specs, temps, ip.dst_pds,
+                                                ip.stamp_srcs):
                 member = spec.refine_op.batch_member(
-                    temp, dst_pd, ig.region, ratio)
+                    temp, dst_pd, ip.ig.region, ratio)
                 member.slab = slab
                 if ghost:
-                    member.marks = (
-                        ("stamp", dst_pd,
-                         [sp.data(spec.var.name) for sp, _ in ig.sources]),)
+                    member.marks = (("stamp", dst_pd, srcs),)
                 backend = backend_for(dst_pd, dst_rank)
                 entry = refines.setdefault(id(backend), (backend, []))
                 entry[1].append(member)
@@ -601,11 +714,8 @@ class RefineSchedule:
             backend.run_batched("pdat.copy", members)
         for backend, members in refines.values():
             backend.run_batched("geom.refine", members, ghost_only=ghost)
-        for _, temps, _, _ in entries:
-            for temp in temps:
-                free = getattr(temp, "free", None)
-                if free is not None:
-                    free()
+        for _, temps, _ in entries:
+            _free(temps)
 
     def _apply_boundary_batched(self, variables, ranks) -> None:
         """One ``update_halo`` launch per rank over its boundary patches."""
@@ -662,12 +772,8 @@ class RefineSchedule:
         ]
         fused_refine_apply(specs[0].refine_op, pairs, ig.region, ratio, dst_rank)
 
-    def _clamp_temp(self, temp, var: Variable, rank) -> None:
+    def _clamp_temp(self, temp, frame: Box, valid: Box, rank) -> None:
         """Zero-gradient-extend temp cells outside the coarse domain."""
-        frame = temp.get_ghost_box()
-        valid = index_box_for(var, self.coarse_level.domain)
-        if valid.contains_box(frame):
-            return
         from ..exec.backend import array_of, run_on
 
         run_on(

@@ -1,5 +1,7 @@
 """Unit and property tests for the Box/IntVector index calculus."""
 
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -198,3 +200,338 @@ class TestBoxProperties:
     @given(boxes(), st.tuples(st.integers(-10, 10), st.integers(-10, 10)))
     def test_shift_preserves_size(self, b, off):
         assert b.shift(off).size() == b.size()
+
+
+class TestIntegerCoercion:
+    """Components go through ``operator.index``: integers only."""
+
+    def test_float_components_rejected(self):
+        with pytest.raises(TypeError):
+            IntVector(1.7, 2)
+        with pytest.raises(TypeError):
+            IntVector([1.0, 2.0])
+
+    def test_float_operand_rejected(self):
+        with pytest.raises(TypeError):
+            IntVector(4, 4) + (1.5, 0)
+        with pytest.raises(TypeError):
+            IntVector(4, 4) * 2.0
+        with pytest.raises(TypeError):
+            Box([0, 0], [3.5, 3])
+
+    def test_numpy_integers_accepted(self):
+        v = IntVector(np.int64(3), np.int32(-2))
+        assert v == (3, -2) and all(type(c) is int for c in v)
+        assert IntVector(1, 2) + np.array([2, 3]) == (3, 5)
+        b = Box(np.array([0, 0]), np.array([3, 1]))
+        assert b.size() == 8 and type(b.size()) is int
+
+    def test_dimension_mismatch_is_checked_before_coercion(self):
+        with pytest.raises(ValueError):
+            IntVector(1, 2) + (1.5, 0, 0)
+
+
+class TestEmptyBoxEquality:
+    def test_empty_boxes_of_different_dimension_differ(self):
+        assert Box.empty(2) != Box.empty(3)
+        assert Box.empty(2) == Box([4, 4], [0, 9])
+
+    @given(st.integers(1, 3), st.integers(1, 3))
+    def test_equal_empty_boxes_hash_equal(self, d1, d2):
+        a, b = Box.empty(d1), Box([5] * d2, [0] * d2)
+        assert (a == b) == (d1 == d2)
+        if a == b:
+            assert hash(a) == hash(b)
+
+
+# -- differential reference ----------------------------------------------------
+#
+# The generator-expression calculus the lean IntVector/Box replaced, kept
+# verbatim apart from the two fixes above (operator.index coercion and
+# dimension-aware empty equality).  Every operation of the lean
+# implementation must agree with it on 1-D, 2-D and 3-D boxes, empty
+# boxes and NumPy-integer inputs.
+
+class RefIntVector(tuple):
+    def __new__(cls, *components):
+        if len(components) == 1 and not isinstance(components[0], int):
+            components = tuple(components[0])
+        components = tuple(operator.index(c) for c in components)
+        if not components:
+            raise ValueError("IntVector needs at least one component")
+        return super().__new__(cls, components)
+
+    @classmethod
+    def uniform(cls, value, dim=2):
+        return cls(*([value] * dim))
+
+    def _binary(self, other, op):
+        if isinstance(other, int):
+            other = (other,) * len(self)
+        if len(other) != len(self):
+            raise ValueError("dimension mismatch")
+        return RefIntVector(*(op(a, operator.index(b))
+                              for a, b in zip(self, other)))
+
+    def __add__(self, other):
+        return self._binary(other, lambda a, b: a + b)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._binary(other, lambda a, b: a - b)
+
+    def __rsub__(self, other):
+        return self._binary(other, lambda a, b: b - a)
+
+    def __mul__(self, other):
+        return self._binary(other, lambda a, b: a * b)
+
+    __rmul__ = __mul__
+
+    def __floordiv__(self, other):
+        return self._binary(other, lambda a, b: a // b)
+
+    def __neg__(self):
+        return RefIntVector(*(-a for a in self))
+
+    def product(self):
+        out = 1
+        for a in self:
+            out *= a
+        return out
+
+
+class RefBox:
+    def __init__(self, lower, upper):
+        self.lower = RefIntVector(lower)
+        self.upper = RefIntVector(upper)
+        if len(self.lower) != len(self.upper):
+            raise ValueError("lower/upper dimension mismatch")
+        self._empty = any(u < l for l, u in zip(self.lower, self.upper))
+
+    @classmethod
+    def empty(cls, dim=2):
+        return cls([0] * dim, [-1] * dim)
+
+    @property
+    def dim(self):
+        return len(self.lower)
+
+    def is_empty(self):
+        return self._empty
+
+    def shape(self):
+        if self._empty:
+            return RefIntVector.uniform(0, self.dim)
+        return self.upper - self.lower + RefIntVector.uniform(1, self.dim)
+
+    def size(self):
+        return self.shape().product()
+
+    def contains_box(self, other):
+        if other.is_empty():
+            return True
+        return all(sl <= ol and ou <= su for sl, su, ol, ou
+                   in zip(self.lower, self.upper, other.lower, other.upper))
+
+    def intersection(self, other):
+        if self._empty or other._empty:
+            return RefBox.empty(self.dim)
+        box = RefBox(list(map(max, self.lower, other.lower)),
+                     list(map(min, self.upper, other.upper)))
+        return box if not box._empty else RefBox.empty(self.dim)
+
+    def intersects(self, other):
+        return not self.intersection(other).is_empty()
+
+    def _ratio(self, r):
+        return (RefIntVector(r) if not isinstance(r, int)
+                else RefIntVector.uniform(r, self.dim))
+
+    def grow(self, width):
+        w = self._ratio(width)
+        return RefBox(self.lower - w, self.upper + w)
+
+    def shift(self, offset):
+        off = RefIntVector(offset)
+        return RefBox(self.lower + off, self.upper + off)
+
+    def coarsen(self, ratio):
+        r = self._ratio(ratio)
+        if self._empty:
+            return RefBox.empty(self.dim)
+        return RefBox([i // k for i, k in zip(self.lower, r)],
+                      [i // k for i, k in zip(self.upper, r)])
+
+    def refine(self, ratio):
+        r = self._ratio(ratio)
+        if self._empty:
+            return RefBox.empty(self.dim)
+        return RefBox([i * k for i, k in zip(self.lower, r)],
+                      [(i + 1) * k - 1 for i, k in zip(self.upper, r)])
+
+    def bounding(self, other):
+        if self._empty:
+            return other
+        if other._empty:
+            return self
+        return RefBox([min(a, b) for a, b in zip(self.lower, other.lower)],
+                      [max(a, b) for a, b in zip(self.upper, other.upper)])
+
+    def remove_intersection(self, other):
+        inter = self.intersection(other)
+        if inter.is_empty():
+            return [] if self._empty else [self]
+        if inter == self:
+            return []
+        pieces = []
+        remaining = self
+        for axis in range(self.dim):
+            lo, hi = list(remaining.lower), list(remaining.upper)
+            if remaining.lower[axis] < inter.lower[axis]:
+                cut_hi = hi.copy()
+                cut_hi[axis] = inter.lower[axis] - 1
+                pieces.append(RefBox(lo, cut_hi))
+                lo = lo.copy()
+                lo[axis] = inter.lower[axis]
+                remaining = RefBox(lo, hi)
+            lo, hi = list(remaining.lower), list(remaining.upper)
+            if remaining.upper[axis] > inter.upper[axis]:
+                cut_lo = lo.copy()
+                cut_lo[axis] = inter.upper[axis] + 1
+                pieces.append(RefBox(cut_lo, hi))
+                hi = hi.copy()
+                hi[axis] = inter.upper[axis]
+                remaining = RefBox(lo, hi)
+        return pieces
+
+    def slices_in(self, frame):
+        if not frame.contains_box(self):
+            raise IndexError("not contained")
+        return tuple(slice(l - fl, u - fl + 1) for l, u, fl
+                     in zip(self.lower, self.upper, frame.lower))
+
+    def __eq__(self, other):
+        if self._empty and other._empty:
+            return self.dim == other.dim
+        return self.lower == other.lower and self.upper == other.upper
+
+    def __hash__(self):
+        if self._empty:
+            return hash(("Box", "empty", self.dim))
+        return hash(("Box", tuple(self.lower), tuple(self.upper)))
+
+
+def _coord(lo=-12, hi=12):
+    """An integer coordinate, sometimes as a NumPy integer."""
+    return st.one_of(st.integers(lo, hi),
+                     st.integers(lo, hi).map(np.int64),
+                     st.integers(lo, hi).map(np.int32))
+
+
+@st.composite
+def box_pairs(draw, dim=None):
+    """Two (lower, upper) corner pairs of one dimension, possibly empty."""
+    d = draw(st.integers(1, 3)) if dim is None else dim
+
+    def corners():
+        lower = draw(st.lists(_coord(), min_size=d, max_size=d))
+        extent = draw(st.lists(st.integers(-2, 9), min_size=d, max_size=d))
+        return lower, [int(a) + e - 1 for a, e in zip(lower, extent)]
+
+    return corners(), corners()
+
+
+def _same(lean, ref):
+    """Lean and reference results agree (boxes, lists, vectors, scalars)."""
+    if isinstance(lean, list):
+        assert len(lean) == len(ref)
+        for a, b in zip(lean, ref):
+            _same(a, b)
+    elif isinstance(lean, Box):
+        assert lean.is_empty() == ref.is_empty()
+        assert tuple(lean.lower) == tuple(ref.lower)
+        assert tuple(lean.upper) == tuple(ref.upper)
+        assert tuple(lean.shape()) == tuple(ref.shape())
+        assert lean.size() == ref.size()
+        assert type(lean.size()) is int
+        assert all(type(c) is int for c in (*lean.lower, *lean.upper))
+    else:
+        assert lean == ref
+
+
+def _both(pair):
+    (lo, hi) = pair
+    return Box(lo, hi), RefBox(lo, hi)
+
+
+class TestDifferentialCalculus:
+    @settings(max_examples=300, deadline=None)
+    @given(box_pairs())
+    def test_binary_box_algebra(self, pairs):
+        (a, ra), (b, rb) = _both(pairs[0]), _both(pairs[1])
+        _same(a, ra)
+        _same(a.intersection(b), ra.intersection(rb))
+        _same(a.bounding(b), ra.bounding(rb))
+        _same(a.remove_intersection(b), ra.remove_intersection(rb))
+        assert a.intersects(b) == ra.intersects(rb)
+        assert a.contains_box(b) == ra.contains_box(rb)
+        assert (a == b) == (ra == rb)
+        if a == b:
+            assert hash(a) == hash(b)
+        assert hash(a) == hash(ra)
+
+    @settings(max_examples=300, deadline=None)
+    @given(box_pairs(), st.integers(1, 4), st.integers(-3, 3),
+           st.data())
+    def test_unary_box_algebra(self, pairs, ratio, width, data):
+        (a, ra) = _both(pairs[0])
+        d = a.dim
+        vec = data.draw(st.lists(_coord(1, 4), min_size=d, max_size=d))
+        off = data.draw(st.lists(_coord(), min_size=d, max_size=d))
+        _same(a.coarsen(ratio), ra.coarsen(ratio))
+        _same(a.coarsen(vec), ra.coarsen(vec))
+        _same(a.refine(ratio), ra.refine(ratio))
+        _same(a.refine(vec), ra.refine(vec))
+        _same(a.grow(width), ra.grow(width))
+        _same(a.grow(off), ra.grow(off))
+        _same(a.shift(off), ra.shift(off))
+
+    @settings(max_examples=300, deadline=None)
+    @given(box_pairs())
+    def test_slices_in(self, pairs):
+        (a, ra), (frame, rframe) = _both(pairs[0]), _both(pairs[1])
+        try:
+            want = ra.slices_in(rframe)
+        except IndexError:
+            with pytest.raises(IndexError):
+                a.slices_in(frame)
+            return
+        assert a.slices_in(frame) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda d: st.tuples(
+        st.lists(_coord(-9, 9), min_size=d, max_size=d),
+        st.lists(_coord(-9, 9), min_size=d, max_size=d))),
+        st.integers(-4, 4).filter(bool))
+    def test_intvector_arithmetic(self, vectors, k):
+        u, v = vectors
+        a, b = IntVector(u), IntVector(v)
+        ra, rb = RefIntVector(u), RefIntVector(v)
+        assert all(type(c) is int for c in a)
+        for lean, ref in [(a + b, ra + rb), (a - b, ra - rb),
+                          (a * b, ra * rb), (-a, -ra),
+                          (a + k, ra + k), (a - k, ra - k),
+                          (k + a, k + ra), (k * a, k * ra),
+                          (a // k, ra // k), (tuple(v) - a, tuple(v) - ra),
+                          (a + tuple(v), ra + tuple(v))]:
+            assert type(lean) is IntVector
+            assert tuple(lean) == tuple(ref)
+        assert a.product() == ra.product()
+        nonzero = [c if c else 1 for c in v]
+        assert tuple(a // IntVector(nonzero)) == tuple(ra // nonzero)
+        with pytest.raises(ValueError):
+            a + (1,) * (len(a) + 1)
+        with pytest.raises(ValueError):
+            ra + (1,) * (len(ra) + 1)
