@@ -1,4 +1,4 @@
-"""Static seam lint: ``python -m repro.check.lint [paths]``.
+"""Static seam lint, run as ``repro check --lint [paths]``.
 
 An AST pass over the source tree enforcing the two disciplines the
 dynamic checker can only observe at runtime:
@@ -19,14 +19,7 @@ dynamic checker can only observe at runtime:
   declarations.
 * **api** — all code must import the public facade :mod:`repro.api`:
   the old :mod:`repro.app` shim is removed, so any import of it is
-  flagged.  Call sites constructing ``RunConfig(...)`` (or the
-  ``scaled(...)`` sweep helper) with the deprecated flat execution
-  kwargs (``use_scheduler``, ``overlap``, ``batch_launches``,
-  ``kernels``, ``regrid_incremental``, ``balance``, ``regrid_interval``)
-  are flagged too — those knobs live on the typed
-  ``ExecutionPolicy``/``RegridPolicy`` sub-configs now; the runtime
-  shims only exist for external callers mid-migration (shim tests carry
-  a waiver).
+  flagged.
 * **slab** — kernel dispatch inside a per-patch ``for patch in level:``
   loop defeats whole-slab execution (``--kernels slab`` runs one
   vectorized op per fused level group); new dispatch sites should emit
@@ -44,9 +37,6 @@ comment (the legacy bare ``# samrcheck: ok`` waives any rule on the
 line); waivers are greppable and audited by :mod:`repro.check.static`,
 which reports unused waivers and waivers without a reason.  Exit status
 is the number of violations (0 = clean).
-
-Running this module directly is deprecated — ``repro check --lint`` (or
-``python -m repro.check.static --lint``) is the unified entry point.
 """
 
 from __future__ import annotations
@@ -250,31 +240,6 @@ class _Linter(ast.NodeVisitor):
         self._check_serve_imports(node)
         self.generic_visit(node)
 
-    #: RunConfig kwargs that moved onto ExecutionPolicy / RegridPolicy
-    _FLAT_CONFIG_KWARGS = frozenset({
-        "use_scheduler", "overlap", "batch_launches", "kernels",
-        "regrid_incremental", "balance", "regrid_interval",
-    })
-    #: call names whose keyword arguments are RunConfig fields
-    _CONFIG_CALL_NAMES = frozenset({"RunConfig", "scaled"})
-
-    def _check_config_call(self, node: ast.Call) -> None:
-        """Flag ``RunConfig(...)``/``scaled(...)`` using the flat kwargs."""
-        func = node.func
-        name = (func.id if isinstance(func, ast.Name)
-                else func.attr if isinstance(func, ast.Attribute) else None)
-        if name not in self._CONFIG_CALL_NAMES:
-            return
-        for kw in node.keywords:
-            if kw.arg in self._FLAT_CONFIG_KWARGS:
-                sub = ("regrid" if kw.arg in ("regrid_incremental", "balance",
-                                              "regrid_interval")
-                       else "execution")
-                self._flag(kw.value, "api",
-                           f"deprecated flat RunConfig kwarg '{kw.arg}' — "
-                           f"set it on the typed '{sub}' policy "
-                           "(ExecutionPolicy / RegridPolicy)")
-
     def _check_serve_imports(self, node) -> None:
         """Resolve a serve-layer import (aliases, relative forms, and
         ``__init__`` re-exports included) and flag disallowed targets."""
@@ -306,7 +271,6 @@ class _Linter(ast.NodeVisitor):
                 self._check_run_call(node)
             elif func.attr == "kernel_task":
                 self._check_kernel_task_call(node)
-        self._check_config_call(node)
         self.generic_visit(node)
 
     # -- declaration rules -----------------------------------------------------
@@ -374,10 +338,3 @@ def main(argv=None) -> int:
     else:
         print("seam lint clean")
     return min(len(violations), 255)
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via subprocess
-    print("note: 'python -m repro.check.lint' is deprecated; use "
-          "'repro check --lint' (python -m repro.check.static --lint)",
-          file=sys.stderr)
-    sys.exit(main())

@@ -134,16 +134,16 @@ class LagrangianEulerianIntegrator:
         #: ExecStats feed --profile and the metrics manifest)
         self.schedule_cache = ScheduleCache()
         self.schedule_cache.exec_stats = comm.ranks[0].exec_stats
-        self.regridder = Regridder(
-            self.hierarchy, comm, factory, self.variables,
-            self._specs_for(PRIMARY_FIELDS), self.boundary, self.config.regrid,
-            schedule_cache=self.schedule_cache,
-        )
         self._refine_ops = {
             "cell": CellConservativeLinearRefine(),
             "node": NodeLinearRefine(),
             "side": SideConservativeLinearRefine(),
         }
+        self.regridder = Regridder(
+            self.hierarchy, comm, factory, self.variables,
+            self._specs_for(PRIMARY_FIELDS), self.boundary, self.config.regrid,
+            schedule_cache=self.schedule_cache,
+        )
         self.time = 0.0
         self.step_count = 0
         self.dt = None
@@ -152,13 +152,9 @@ class LagrangianEulerianIntegrator:
     # -- spec helpers ---------------------------------------------------------
 
     def _specs_for(self, names) -> list[FillSpec]:
-        ops = {
-            "cell": CellConservativeLinearRefine(),
-            "node": NodeLinearRefine(),
-            "side": SideConservativeLinearRefine(),
-        }
         return [
-            FillSpec(self.variables[n], ops[self.variables[n].centring])
+            FillSpec(self.variables[n],
+                     self._refine_ops[self.variables[n].centring])
             for n in names
         ]
 
@@ -307,14 +303,15 @@ class LagrangianEulerianIntegrator:
     def step(self) -> float:
         """Advance the whole hierarchy by one global timestep.
 
-        With ``config.use_scheduler`` the step runs as explicit task
-        graphs through :mod:`repro.sched` (bitwise identical to the
-        serial path); otherwise as the serial call sequence below.
+        With ``config.use_scheduler`` the step script runs through the
+        task-graph engine of :mod:`repro.sched` (bitwise identical);
+        otherwise the integrator itself is the engine and executes each
+        call as it is made.
         """
         if self.config.use_scheduler:
             dt = self._scheduler().advance()
         else:
-            dt = self._step_serial()
+            dt = self._advance(self)
 
         self.time += dt
         self.step_count += 1
@@ -336,38 +333,49 @@ class LagrangianEulerianIntegrator:
                 self, overlap=self.config.overlap)
         return self._step_scheduler
 
-    def _step_serial(self) -> float:
-        """The legacy serial step: one blocking call after another."""
+    def _advance(self, ex) -> float:
+        """The step script (Fig. 6): kernel sweeps, halo fills, dt, sync.
+
+        Written once for both execution engines.  ``ex`` supplies
+        ``_phase``, ``_fill_group``, ``_sweep``, ``_compute_dt`` and
+        ``_synchronise``: the integrator runs each call as it is made;
+        :class:`~repro.sched.driver.StepScheduler` records each phase
+        into a task graph and executes it at the phase's end.
+        """
         pi = self.patch_integrator
 
-        with self._phase("hydro"):
-            self._fill_group("step_start")
+        with ex._phase("hydro"):
+            ex._fill_group("step_start")
             # EOS extended into the ghosts gives viscosity/accelerate their
             # pressure halos without a separate exchange.
-            self._sweep(lambda p, r: pi.ideal_gas(p, r, ext=2))
-            self._sweep(lambda p, r: pi.viscosity(p, r))
-            self._fill_group("post_viscosity")
+            ex._sweep(lambda p, r: pi.ideal_gas(p, r, ext=2))
+            ex._sweep(lambda p, r: pi.viscosity(p, r))
+            ex._fill_group("post_viscosity")
 
-        with self._phase("timestep"):
-            dt = self._compute_dt()
+        with ex._phase("timestep"):
+            dt = ex._compute_dt()
 
-        with self._phase("hydro"):
-            self._sweep(lambda p, r: pi.pdv(p, r, True, dt))
-            self._sweep(lambda p, r: pi.ideal_gas(p, r, predict=True))
-            self._fill_group("half_step")
-            self._sweep(lambda p, r: pi.accelerate(p, r, dt))
-            self._sweep(lambda p, r: pi.pdv(p, r, False, dt))
-            self._sweep(lambda p, r: pi.flux_calc(p, r, dt))
-            self._fill_group("pre_advec")
+        with ex._phase("hydro"):
+            ex._sweep(lambda p, r: pi.pdv(p, r, True, dt))
+            ex._sweep(lambda p, r: pi.ideal_gas(p, r, predict=True))
+            ex._fill_group("half_step")
+            ex._sweep(lambda p, r: pi.accelerate(p, r, dt))
+            ex._sweep(lambda p, r: pi.pdv(p, r, False, dt))
+            ex._sweep(lambda p, r: pi.flux_calc(p, r, dt))
+            ex._fill_group("pre_advec")
 
-            first = 0 if self.step_count % 2 == 0 else 1
-            second = 1 - first
-            self._advect(first, 1)
-            self._advect(second, 2)
-            self._sweep(lambda p, r: pi.reset_field(p, r))
+            # Alternate the sweep order each step (x-then-y, y-then-x).
+            first = self.step_count % 2
+            for n, d in ((1, first), (2, 1 - first)):
+                ex._sweep(lambda p, r, d=d, n=n: pi.advec_cell(p, r, d, n))
+                ex._fill_group(("mid_advec_x", "mid_advec_y")[d])
+                for wv in (0, 1):
+                    ex._sweep(lambda p, r, d=d, n=n, wv=wv:
+                              pi.advec_mom(p, r, d, n, wv))
+            ex._sweep(lambda p, r: pi.reset_field(p, r))
 
-        with self._phase("sync"):
-            self._synchronise()
+        with ex._phase("sync"):
+            ex._synchronise()
 
         return dt
 
@@ -385,61 +393,25 @@ class LagrangianEulerianIntegrator:
             lambda p, r: self.patch_integrator.ideal_gas(p, r, ext=2)
         )
 
-    def _advect(self, direction: int, sweep_number: int) -> None:
-        pi = self.patch_integrator
-        self._sweep(
-            lambda p, r: pi.advec_cell(p, r, direction, sweep_number)
-        )
-        self._fill_group("mid_advec_x" if direction == 0 else "mid_advec_y")
-        for which_vel in (0, 1):
-            self._sweep(
-                lambda p, r, wv=which_vel: pi.advec_mom(
-                    p, r, direction, sweep_number, wv)
-            )
-
     def _compute_dt(self) -> float:
-        if self.config.batch_launches:
-            return self._compute_dt_batched()
-        pi = self.patch_integrator
-        local = [math.inf] * self.comm.size
-        for level in self.hierarchy:
-            for patch in level:  # samrcheck: ok(slab): per-patch reference path kept for bitwise comparison
-                rank = self.comm.rank(patch.owner)
-                dt = pi.calc_dt(patch, rank)
-                if dt < local[patch.owner]:
-                    local[patch.owner] = dt
-        dt = self.comm.allreduce_min(local)
-        return self._apply_dt_policy(dt)
+        """CFL kernels over every patch, then one global min reduction.
 
-    def _compute_dt_batched(self) -> float:
-        """One fused CFL reduce per (backend, level) group.
-
-        The per-patch path launches one ``calc_dt`` kernel and reads one
-        scalar back per patch — a serialized PCIe-latency chain.  Fused,
-        each group is one launch whose members' minima are combined on
-        the device and read back once.  The min is an exact selection,
-        so the dt is bitwise identical to the per-patch chain.
+        Under ``config.batch_launches`` each ``calc_dt`` returns a
+        ``BatchSlot`` that the sweep's flush fills with one fused reduce
+        per (backend, level) group, read back once per group instead of
+        once per patch.  The min is an exact selection, so the dt is
+        bitwise identical either way.
         """
-        from ..exec.batch import LaunchBatcher
-
         pi = self.patch_integrator
-        batcher = LaunchBatcher()
-        slots: list[tuple[int, object]] = []
-        pi.batch_sink = batcher
-        try:
-            for level in self.hierarchy:
-                for patch in level:  # samrcheck: ok(slab): collects batch members, fused at flush
-                    rank = self.comm.rank(patch.owner)
-                    slots.append((patch.owner, pi.calc_dt(patch, rank)))
-        finally:
-            pi.batch_sink = None
-        batcher.flush()
+        dts: list[tuple[int, object]] = []
+        self._sweep(lambda p, r: dts.append((p.owner, pi.calc_dt(p, r))))
         local = [math.inf] * self.comm.size
-        for owner, slot in slots:
-            if slot.value < local[owner]:
-                local[owner] = slot.value
-        dt = self.comm.allreduce_min(local)
-        return self._apply_dt_policy(dt)
+        for owner, dt in dts:
+            if self.config.batch_launches:
+                dt = dt.value
+            if dt < local[owner]:
+                local[owner] = dt
+        return self._apply_dt_policy(self.comm.allreduce_min(local))
 
     def _apply_dt_policy(self, dt: float) -> float:
         """Validate a reduced dt and apply the growth/init/max clamps."""

@@ -1,13 +1,16 @@
-"""Per-timestep driver: build and execute one graph per step phase.
+"""The task-graph engine of the timestep: one graph per step phase.
 
-:class:`StepScheduler` mirrors ``LagrangianEulerianIntegrator.step()``
-exactly — same phases, same emission order — but *records* each phase's
-work into a :class:`~repro.sched.task.TaskGraph` (kernel sweeps through
-the patch integrator's task sink, halo fills and fine-to-coarse sync
-through the schedules' ``emit_tasks``) and hands the graph to a
-:class:`~repro.sched.executor.GraphExecutor`.  Graphs are per phase so
-the legacy ``hydro`` / ``timestep`` / ``sync`` timer decomposition keeps
-its meaning: every phase starts and ends with all timelines joined.
+The step script is written once, in
+``LagrangianEulerianIntegrator._advance``; :class:`StepScheduler` is the
+engine it runs on under ``use_scheduler``.  Where the integrator's own
+engine executes each call as it is made, this one *records* each
+phase's work into a :class:`~repro.sched.task.TaskGraph` (kernel sweeps
+through the patch integrator's task sink, halo fills and fine-to-coarse
+sync through the schedules' ``emit_tasks``) and hands the graph to a
+:class:`~repro.sched.executor.GraphExecutor` when the phase ends.
+Graphs are per phase so the ``hydro`` / ``timestep`` / ``sync`` timer
+decomposition keeps its meaning: every phase starts and ends with all
+timelines joined.
 
 Because the default topological order is emission order, the executor
 replays the serial call sequence exactly; overlap mode changes only
@@ -39,95 +42,57 @@ class StepScheduler:
         self.integrator = integrator
         self.executor = GraphExecutor(
             integrator.comm, overlap=overlap, order_key=order_key)
-        #: coalesce same-kernel, same-level tasks into batched launches
-        self.batch = integrator.config.batch_launches
+        #: the open phase's graph; None outside a phase, or once the
+        #: phase's graph has been executed
+        self._gb: GraphBuilder | None = None
 
-    def _builder(self) -> GraphBuilder:
-        return GraphBuilder(self.integrator.comm, fuse=self.batch)
-
-    @property
-    def overlap(self) -> bool:
-        return self.executor.overlap
-
-    # -- emission helpers ------------------------------------------------------
-
-    @contextmanager
-    def _sink(self, gb: GraphBuilder):
-        """Route patch-integrator kernel launches into ``gb`` while open."""
-        pi = self.integrator.patch_integrator
-        pi.task_sink = gb
-        try:
-            yield
-        finally:
-            pi.task_sink = None
+    def advance(self) -> float:
+        """One global timestep; returns dt.  The caller owns the step
+        bookkeeping (time/step_count/regrid), as with the serial engine."""
+        return self.integrator._advance(self)
 
     def _execute(self, gb: GraphBuilder) -> None:
         gb.flush_fusion()
         self.executor.execute(gb.graph)
 
-    def _emit_patches(self, gb: GraphBuilder, fn) -> None:
-        with self._sink(gb):
-            self.integrator._foreach_patch(fn)
+    # -- the engine the step script runs on ------------------------------------
 
-    def _emit_fill_group(self, gb: GraphBuilder, group: str) -> None:
+    @contextmanager
+    def _phase(self, name: str):
+        """Record one phase into a fresh graph; execute it at the end.
+
+        With batching on, same-kernel, same-level tasks coalesce into
+        batched launches.  The timestep phase executes its graph early,
+        since the rest of the step needs dt, and nothing at the end.
+        """
+        it = self.integrator
+        with it._phase(name):
+            self._gb = GraphBuilder(it.comm, fuse=it.config.batch_launches)
+            yield
+            if self._gb is not None:
+                self._execute(self._gb)
+                self._gb = None
+
+    def _sweep(self, fn) -> None:
+        """Route one sweep's kernel launches into the phase's graph."""
+        pi = self.integrator.patch_integrator
+        pi.task_sink = self._gb
+        try:
+            self.integrator._foreach_patch(fn)
+        finally:
+            pi.task_sink = None
+
+    def _fill_group(self, group: str) -> None:
         it = self.integrator
         names = FIELD_GROUPS[group]
         for level in it.hierarchy:
-            it._fill_schedule_for(level, names).emit_tasks(gb, time=it.time)
+            it._fill_schedule_for(level, names).emit_tasks(
+                self._gb, time=it.time)
 
-    def _emit_advect(self, gb: GraphBuilder, direction: int,
-                     sweep_number: int) -> None:
-        pi = self.integrator.patch_integrator
-        self._emit_patches(
-            gb, lambda p, r: pi.advec_cell(p, r, direction, sweep_number))
-        self._emit_fill_group(
-            gb, "mid_advec_x" if direction == 0 else "mid_advec_y")
-        for which_vel in (0, 1):
-            self._emit_patches(
-                gb, lambda p, r, wv=which_vel: pi.advec_mom(
-                    p, r, direction, sweep_number, wv))
-
-    # -- the timestep ----------------------------------------------------------
-
-    def advance(self) -> float:
-        """One global timestep; returns dt.  The caller owns the step
-        bookkeeping (time/step_count/regrid), as with the serial path."""
+    def _synchronise(self) -> None:
         it = self.integrator
-        pi = it.patch_integrator
-
-        with it._phase("hydro"):
-            gb = self._builder()
-            self._emit_fill_group(gb, "step_start")
-            self._emit_patches(gb, lambda p, r: pi.ideal_gas(p, r, ext=2))
-            self._emit_patches(gb, lambda p, r: pi.viscosity(p, r))
-            self._emit_fill_group(gb, "post_viscosity")
-            self._execute(gb)
-
-        with it._phase("timestep"):
-            dt = self._compute_dt()
-
-        with it._phase("hydro"):
-            gb = self._builder()
-            self._emit_patches(gb, lambda p, r: pi.pdv(p, r, True, dt))
-            self._emit_patches(gb, lambda p, r: pi.ideal_gas(p, r, predict=True))
-            self._emit_fill_group(gb, "half_step")
-            self._emit_patches(gb, lambda p, r: pi.accelerate(p, r, dt))
-            self._emit_patches(gb, lambda p, r: pi.pdv(p, r, False, dt))
-            self._emit_patches(gb, lambda p, r: pi.flux_calc(p, r, dt))
-            self._emit_fill_group(gb, "pre_advec")
-            first = 0 if it.step_count % 2 == 0 else 1
-            self._emit_advect(gb, first, 1)
-            self._emit_advect(gb, 1 - first, 2)
-            self._emit_patches(gb, lambda p, r: pi.reset_field(p, r))
-            self._execute(gb)
-
-        with it._phase("sync"):
-            gb = self._builder()
-            for fine_num in range(it.hierarchy.num_levels - 1, 0, -1):
-                it._coarsen_schedule_for(fine_num).emit_tasks(gb)
-            self._execute(gb)
-
-        return dt
+        for fine_num in range(it.hierarchy.num_levels - 1, 0, -1):
+            it._coarsen_schedule_for(fine_num).emit_tasks(self._gb)
 
     def _compute_dt(self) -> float:
         """CFL kernels + scalar readbacks + one global min reduction.
@@ -138,19 +103,14 @@ class StepScheduler:
         """
         it = self.integrator
         pi = it.patch_integrator
-        gb = self._builder()
         dt_tasks: list[tuple[int, object]] = []
-        with self._sink(gb):
-            for level in it.hierarchy:
-                for patch in level:  # samrcheck: ok(slab): emits tasks only, the builder fuses them
-                    rank = it.comm.rank(patch.owner)
-                    t = pi.calc_dt(patch, rank)
-                    if t is not None:
-                        dt_tasks.append((patch.owner, t))
+        self._sweep(lambda p, r: dt_tasks.append((p.owner, pi.calc_dt(p, r))))
+        gb, self._gb = self._gb, None
         # With fusion on, calc_dt launches coalesce per (backend, level)
         # and each fused group contributes one readback task instead of
-        # one per patch.
+        # one per patch (the fused patches' calc_dt returns None).
         gb.flush_fusion()
+        dt_tasks = [(o, t) for o, t in dt_tasks if t is not None]
         dt_tasks.extend(gb.fused_readbacks)
 
         def reduce_fn(stream):

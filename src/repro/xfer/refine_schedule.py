@@ -787,12 +787,3 @@ class RefineSchedule:
         copies = sum(len(g.copies) for _, g in self.items)
         interps = sum(len(g.interps) for _, g in self.items)
         return copies, interps
-
-    # Backwards-compatible views used by a few tests.
-    @property
-    def copies(self):
-        return [t for _, g in self.items for t in g.copies]
-
-    @property
-    def interps(self):
-        return [t for _, g in self.items for t in g.interps]

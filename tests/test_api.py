@@ -1,10 +1,10 @@
 """The ``repro.api`` facade: configuration validation, the backend
-factory, the run result contract, and the deprecation shim.
+factory, the run result contract, and the ``api`` lint rule.
 
 ``repro.api.run`` is the one public entry point (everything outside the
 package imports it and nothing else — the ``api`` lint rule), so its
-contract is pinned here: validated configs, a structured
-:class:`RunResult`, and flat-kwarg shims that still work but warn.
+contract is pinned here: validated configs and a structured
+:class:`RunResult`.
 """
 
 from __future__ import annotations
@@ -17,10 +17,7 @@ import numpy as np
 import pytest
 
 from repro.api import (
-    AUTO,
-    ExecutionPolicy,
     ObservabilityConfig,
-    RegridPolicy,
     RunConfig,
     RunResult,
     build_simulation,
@@ -154,7 +151,7 @@ def test_result_without_tracing_has_no_trace(result):
     assert res.sanitize_counters is None
 
 
-# -- the flat-kwarg deprecation shims -----------------------------------------
+# -- removed surfaces ---------------------------------------------------------
 
 
 def test_app_module_is_gone():
@@ -162,48 +159,17 @@ def test_app_module_is_gone():
         import repro.app  # noqa: F401  # samrcheck: ok(api): asserting removal
 
 
-def test_flat_kwargs_warn_and_forward():
-    with pytest.warns(DeprecationWarning, match="execution"):
-        cfg = _config(batch_launches=True)  # samrcheck: ok(api): shim test
-    assert cfg.execution.batch is True
-    with pytest.warns(DeprecationWarning, match="regrid"):
-        cfg = _config(regrid_interval=7)  # samrcheck: ok(api): shim test
-    assert cfg.regrid.interval == 7
-
-
-def test_flat_kwarg_kernels_none_stays_auto():
-    with pytest.warns(DeprecationWarning):
-        cfg = _config(kernels=None)  # samrcheck: ok(api): shim test
-    assert cfg.execution.kernels == AUTO
-
-
 def test_unknown_kwarg_still_raises():
     with pytest.raises(TypeError, match="no_such_flag"):
         _config(no_such_flag=True)
 
 
-def test_flat_property_reads_warn_and_mirror():
-    cfg = _config(execution=ExecutionPolicy(batch=True, kernels="slab"),
-                  regrid=RegridPolicy(interval=9))
-    with pytest.warns(DeprecationWarning, match="execution"):
-        assert cfg.batch_launches is True
-    with pytest.warns(DeprecationWarning, match="execution"):
-        assert cfg.kernels == "slab"
-    with pytest.warns(DeprecationWarning, match="regrid"):
-        assert cfg.regrid_interval == 9
-
-
-def test_flat_property_writes_warn_and_forward():
-    cfg = _config()
-    with pytest.warns(DeprecationWarning, match="execution"):
-        cfg.overlap = True
-    assert cfg.execution.overlap is True
-
-
-def test_scaled_flat_override_warns():
-    with pytest.warns(DeprecationWarning, match="execution"):
-        bigger = scaled(_config(), batch_launches=True)  # samrcheck: ok(api): shim test
-    assert bigger.execution.batch is True
+def test_flat_execution_kwargs_are_rejected():
+    """The flat execution flags live on the typed policies only."""
+    with pytest.raises(TypeError, match="batch_launches"):
+        _config(batch_launches=True)
+    with pytest.raises(TypeError, match="regrid_interval"):
+        scaled(_config(), regrid_interval=7)
 
 
 # -- the api lint rule --------------------------------------------------------
@@ -237,25 +203,6 @@ def test_lint_flags_app_import_everywhere(tmp_path):
     assert [v.rule for v in violations] == ["api"]
 
 
-def test_lint_flags_flat_config_kwargs(tmp_path):
-    violations = _lint_source(tmp_path, "benchmarks/bench_flat.py", """
-        from repro.api import RunConfig
-        cfg = RunConfig(problem=None, batch_launches=True, kernels="slab")
-    """)
-    assert [v.rule for v in violations] == ["api", "api"]
-    assert "batch_launches" in violations[0].message
-    assert "ExecutionPolicy" in violations[0].message
-
-
-def test_lint_flags_flat_scaled_overrides(tmp_path):
-    violations = _lint_source(tmp_path, "examples/scale.py", """
-        from repro.api import scaled
-        big = scaled(cfg, nranks=4, regrid_interval=2)
-    """)
-    assert [v.rule for v in violations] == ["api"]
-    assert "regrid_interval" in violations[0].message
-
-
 def test_lint_allows_policy_shape_and_waivers(tmp_path):
     assert _lint_source(tmp_path, "benchmarks/bench_ok.py", """
         from repro.api import ExecutionPolicy, RegridPolicy, RunConfig
@@ -263,10 +210,9 @@ def test_lint_allows_policy_shape_and_waivers(tmp_path):
                         execution=ExecutionPolicy(batch=True),
                         regrid=RegridPolicy(interval=3))
     """) == []
-    # an explicit waiver silences the rule (shim tests carry these)
-    assert _lint_source(tmp_path, "tests/test_shims.py", """
-        from repro.api import RunConfig
-        cfg = RunConfig(batch_launches=True)  # samrcheck: ok(api): shim test
+    # an explicit waiver silences the rule
+    assert _lint_source(tmp_path, "tests/test_removal.py", """
+        import repro.app  # samrcheck: ok(api): asserting removal
     """) == []
 
 
