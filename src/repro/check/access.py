@@ -273,15 +273,17 @@ class SanitizeChecker:
         return arr
 
     def on_slab_handout(self, pds, arr: np.ndarray) -> np.ndarray:
-        """Instrument a whole-slab stacked handout (``--kernels slab``).
+        """Instrument a whole-slab handout: a stacked (``--kernels slab``)
+        or flat (interpolation programs) view of an arena.
 
-        ``arr`` stacks the ``pds``' frames on axis 0; the group is the
-        slab twin of per-patch handouts, so its declared role must be
-        uniform — all of the scope's reads get one read-only view, all
-        writes get the live array.  A mixed or undeclared group cannot
-        happen through the slab planner (it checks roles before launch),
-        so it raises here as an invariant backstop rather than falling
-        back to checksums.
+        ``arr`` holds the ``pds``' frames; the group is the slab twin of
+        per-patch handouts, so its declared role must be uniform — all of
+        the scope's reads get one read-only view, all writes get the live
+        array.  A mixed or undeclared group cannot happen through the slab
+        planner (it checks roles before launch), so it raises here rather
+        than falling back to checksums.  An interpolation program hands
+        out the slabs its members read and write, so a member that
+        under-declares its destination is caught here, naming it.
         """
         scope = self._scope
         if scope is None:
@@ -297,10 +299,15 @@ class SanitizeChecker:
             view = arr.view()
             view.flags.writeable = False
             return view
+        undeclared = sorted({self.name_of(pd) for pd, key in zip(pds, keys)
+                             if key not in scope.writes
+                             and key not in scope.reads})
         raise DeclaredAccessError(
             f"mixed or undeclared slab handout in kernel {scope.label!r}: "
             f"every member of a stacked operand must share one declared "
-            f"role (all reads or all writes)")
+            f"role (all reads or all writes)"
+            + (f"; undeclared: {', '.join(undeclared)}" if undeclared
+               else ""))
 
     # -- happens-before replay --------------------------------------------------
 

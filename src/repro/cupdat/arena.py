@@ -73,6 +73,12 @@ class DeviceArena:
                 s == self.shapes[0] for s in self.shapes[1:])
         return self._uniform
 
+    def flat_view(self) -> np.ndarray:
+        """The whole slab as one flat kernel view; member ``i`` starts at
+        ``offsets[i]``, ragged arenas included.  Legal only inside a
+        launch on the owning device."""
+        return self.slab.kernel_view()
+
     def stacked_view(self) -> np.ndarray:
         """The whole slab as one (P, f0, f1) kernel view, members on
         axis 0.  Legal only inside a launch or memcpy scope on the owning

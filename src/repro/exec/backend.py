@@ -88,32 +88,44 @@ def frame_of(pd) -> "Box":
     return pd.data.frame
 
 
-def allocate_host(var: "Variable", box: "Box", buffer=None) -> "PatchData":
-    from ..pdat.cell_data import CellData
-    from ..pdat.node_data import NodeData
-    from ..pdat.side_data import SideData
+def _pdat_classes() -> tuple[dict, dict]:
+    """(host, device) patch-data class per centring, imported on first use
+    (the concrete classes import this module).  Schedules allocate their
+    temporaries on every fill, so the lookup is kept off that path."""
+    global _PDAT_CLASSES
+    if _PDAT_CLASSES is None:
+        from ..cupdat.cuda_cell_data import CudaCellData
+        from ..cupdat.cuda_node_data import CudaNodeData
+        from ..cupdat.cuda_side_data import CudaSideData
+        from ..pdat.cell_data import CellData
+        from ..pdat.node_data import NodeData
+        from ..pdat.side_data import SideData
 
-    if var.centring == "cell":
-        pd = CellData(box, var.ghosts, buffer=buffer)
-    elif var.centring == "node":
-        pd = NodeData(box, var.ghosts, buffer=buffer)
+        _PDAT_CLASSES = (
+            {"cell": CellData, "node": NodeData, "side": SideData},
+            {"cell": CudaCellData, "node": CudaNodeData, "side": CudaSideData})
+    return _PDAT_CLASSES
+
+
+_PDAT_CLASSES = None
+
+
+def allocate_host(var: "Variable", box: "Box", buffer=None) -> "PatchData":
+    cls = _pdat_classes()[0][var.centring]
+    if var.centring == "side":
+        pd = cls(box, var.ghosts, var.axis, buffer=buffer)
     else:
-        pd = SideData(box, var.ghosts, var.axis, buffer=buffer)
+        pd = cls(box, var.ghosts, buffer=buffer)
     pd.var_name = var.name  # debug name used in sanitizer reports
     return pd
 
 
 def allocate_device(var: "Variable", box: "Box", device, darr=None) -> "PatchData":
-    from ..cupdat.cuda_cell_data import CudaCellData
-    from ..cupdat.cuda_node_data import CudaNodeData
-    from ..cupdat.cuda_side_data import CudaSideData
-
-    if var.centring == "cell":
-        pd = CudaCellData(box, var.ghosts, device, darr=darr)
-    elif var.centring == "node":
-        pd = CudaNodeData(box, var.ghosts, device, darr=darr)
+    cls = _pdat_classes()[1][var.centring]
+    if var.centring == "side":
+        pd = cls(box, var.ghosts, var.axis, device, darr=darr)
     else:
-        pd = CudaSideData(box, var.ghosts, var.axis, device, darr=darr)
+        pd = cls(box, var.ghosts, device, darr=darr)
     pd.var_name = var.name  # debug name used in sanitizer reports
     return pd
 
@@ -213,7 +225,7 @@ class Backend(abc.ABC):
         return result
 
     def run_batched(self, kernel: str, members, combine=None,
-                    ghost_only: bool = False):
+                    ghost_only: bool = False, body=None):
         """Execute many per-patch kernel bodies as one fused launch.
 
         ``members`` is a sequence of :class:`~repro.exec.batch.BatchMember`;
@@ -233,13 +245,19 @@ class Backend(abc.ABC):
         stacked axis, which selects the exact same scalar.  Slab-marked
         groups that fail eligibility replay their bodies and are counted
         as ``slab_fallback``.
+
+        ``body``, when given, is one compiled program doing every
+        member's work (the transfer schedules' interpolation programs);
+        it runs in place of the member bodies, under the same launch,
+        declarations and counters.
         """
         members = list(members)
         if not members:
             return None
         if len(members) == 1 and combine is None:
             m = members[0]
-            return self.run(kernel, m.elements, m.body,
+            return self.run(kernel, m.elements,
+                            m.body if body is None else body,
                             reads=m.reads, writes=m.writes,
                             ghost_reads=m.ghost_reads, ghost_only=ghost_only,
                             marks=m.marks)
@@ -253,6 +271,8 @@ class Backend(abc.ABC):
         def fused_body():
             if slab_body is not None:
                 return slab_body()
+            if body is not None:
+                return body()
             results = [m.body() for m in members]
             return combine(results) if combine is not None else None
 

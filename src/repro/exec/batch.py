@@ -29,9 +29,10 @@ __all__ = ["BatchMember", "BatchSlot", "LaunchBatcher", "SlabSpec",
            "SLAB_FALLBACK", "union_pds"]
 
 #: sentinel ``BatchMember.slab`` value: the dispatch site runs under
-#: ``--kernels slab`` but this work is inherently per-patch (ragged halo
-#: bodies, per-region interpolation temps) — the fused launch replays
-#: member bodies and the launch is counted as ``slab_fallback``.
+#: ``--kernels slab`` but this work does not tile a uniform arena (ragged
+#: halo bodies, interpolation regions) — the fused launch replays member
+#: bodies, or the compiled program given to ``run_batched``, and is
+#: counted as ``slab_fallback``.
 SLAB_FALLBACK = "fallback"
 
 

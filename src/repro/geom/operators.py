@@ -53,72 +53,42 @@ def _as_ratio(ratio) -> IntVector:
 
 
 class RefineOperator:
-    """Base: fill a fine region by interpolation from coarse data."""
+    """Base: fill a fine region by interpolation from coarse data.
+
+    A refine operator is a lowered stencil and a formula
+    (:mod:`repro.geom.interp_math`): :meth:`stencil` does one region's
+    index algebra, :attr:`formula` evaluates it on gathered coarse
+    values.  :meth:`apply` runs one region; the transfer schedules compile
+    the stencils of their cached regions once and evaluate many regions
+    per launch (:mod:`repro.xfer.interp_program`) — same formula, same
+    bits.
+    """
 
     name = "refine"
     centring = "cell"
     #: coarse ghost cells the interpolation stencil reaches beyond the
     #: coarsened destination region
     stencil_width = 1
+    #: ``formula(values, weights) -> fine values`` over a stencil's
+    #: gathered points; operators sharing it are evaluated together
+    formula = None
+
+    def stencil(self, coarse_frame: Box, region: Box, ratio: IntVector,
+                axis: int | None = None):
+        """``(idx, w)``: flat ``coarse_frame`` indices and weight columns
+        of every fine element of ``region`` (``axis``: side normal)."""
+        raise NotImplementedError
 
     def apply(self, coarse_pd: "PatchData", fine_pd: "PatchData", region: Box,
               ratio, rank: "Rank | None" = None) -> None:
-        ratio = _as_ratio(ratio)
+        stencil = self.stencil(frame_of(coarse_pd), region, _as_ratio(ratio),
+                               getattr(fine_pd, "axis", None))
 
         def body():
-            carr, cframe = _arrays(coarse_pd)
-            farr, fframe = _arrays(fine_pd)
-            self._interp(carr, cframe, farr, fframe, region, ratio)
+            m.refine(self.formula, stencil, array_of(coarse_pd),
+                     array_of(fine_pd), frame_of(fine_pd), region)
 
         _run(fine_pd, "geom.refine", region.size(), body, rank)
-
-    def _interp(self, carr, cframe, farr, fframe, region, ratio):
-        raise NotImplementedError
-
-    def _interp_pd(self, coarse_pd, fine_pd, carr, cframe, farr, fframe,  # noqa: ARG002 — hook signature; side flavour needs the patch data
-                   region, ratio):
-        """Array-level interpolation with patch-data context (axis, etc.)."""
-        self._interp(carr, cframe, farr, fframe, region, ratio)
-
-    def batch_member(self, coarse_pd, fine_pd, region: Box, ratio):
-        """The array-level work of :meth:`apply` as one fusable member.
-
-        Used by the batched transfer schedules to run many refine
-        interpolations — across variables, operator types and interp
-        regions — as a single ``geom.refine`` launch.
-        """
-        from ..exec.batch import BatchMember
-
-        ratio = _as_ratio(ratio)
-
-        def body():
-            carr, cframe = _arrays(coarse_pd)
-            farr, fframe = _arrays(fine_pd)
-            self._interp_pd(coarse_pd, fine_pd, carr, cframe, farr, fframe,
-                            region, ratio)
-
-        return BatchMember(region.size(), body,
-                           reads=(coarse_pd,), writes=(fine_pd,))
-
-
-def fused_refine_apply(op: "RefineOperator", pairs, region: Box, ratio,
-                       rank: "Rank | None" = None) -> None:
-    """Apply one refine operator to many (coarse, fine) pairs in one launch.
-
-    All pairs must share the operator and the destination resource; used
-    by the schedules to interpolate every variable of one centring class
-    with a single kernel, as a tuned implementation would.
-    """
-    ratio = _as_ratio(ratio)
-
-    def body():
-        for coarse_pd, fine_pd in pairs:
-            carr, cframe = _arrays(coarse_pd)
-            farr, fframe = _arrays(fine_pd)
-            op._interp_pd(coarse_pd, fine_pd, carr, cframe, farr, fframe,
-                          region, ratio)
-
-    _run(pairs[0][1], "geom.refine", region.size() * len(pairs), body, rank)
 
 
 class NodeLinearRefine(RefineOperator):
@@ -127,9 +97,10 @@ class NodeLinearRefine(RefineOperator):
     name = "node_linear_refine"
     centring = "node"
     stencil_width = 1
+    formula = staticmethod(m.node_linear)
 
-    def _interp(self, carr, cframe, farr, fframe, region, ratio):
-        m.refine_node_linear(carr, cframe, farr, fframe, region, ratio)
+    def stencil(self, coarse_frame, region, ratio, axis=None):  # noqa: ARG002
+        return m.node_linear_stencil(coarse_frame, region, ratio)
 
 
 class CellConservativeLinearRefine(RefineOperator):
@@ -138,9 +109,10 @@ class CellConservativeLinearRefine(RefineOperator):
     name = "cell_conservative_linear_refine"
     centring = "cell"
     stencil_width = 2
+    formula = staticmethod(m.cell_conservative_linear)
 
-    def _interp(self, carr, cframe, farr, fframe, region, ratio):
-        m.refine_cell_conservative_linear(carr, cframe, farr, fframe, region, ratio)
+    def stencil(self, coarse_frame, region, ratio, axis=None):  # noqa: ARG002
+        return m.cell_conservative_stencil(coarse_frame, region, ratio)
 
 
 class SideConservativeLinearRefine(RefineOperator):
@@ -149,25 +121,10 @@ class SideConservativeLinearRefine(RefineOperator):
     name = "side_conservative_linear_refine"
     centring = "side"
     stencil_width = 2
+    formula = staticmethod(m.side_conservative_linear)
 
-    def apply(self, coarse_pd, fine_pd, region, ratio, rank=None):
-        ratio = _as_ratio(ratio)
-        axis = fine_pd.axis
-
-        def body():
-            carr, cframe = _arrays(coarse_pd)
-            farr, fframe = _arrays(fine_pd)
-            m.refine_side_conservative_linear(
-                carr, cframe, farr, fframe, region, ratio, axis
-            )
-
-        _run(fine_pd, "geom.refine", region.size(), body, rank)
-
-    def _interp_pd(self, coarse_pd, fine_pd, carr, cframe, farr, fframe,  # noqa: ARG002
-                   region, ratio):
-        m.refine_side_conservative_linear(
-            carr, cframe, farr, fframe, region, ratio, fine_pd.axis
-        )
+    def stencil(self, coarse_frame, region, ratio, axis=None):
+        return m.side_conservative_stencil(coarse_frame, region, ratio, axis)
 
 
 class CoarsenOperator:

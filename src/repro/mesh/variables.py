@@ -81,6 +81,21 @@ class HostDataFactory:
     def allocate(self, var: Variable, box: "Box", rank) -> "PatchData":  # noqa: ARG002
         return allocate_host(var, box)
 
+    def allocate_temps(self, items, rank) -> tuple:  # noqa: ARG002
+        """Schedule temporaries carved back to back from one arena.
+
+        ``items`` are ``(var, box, frame shape)``; returns the
+        :class:`~repro.pdat.arena.HostArena` and the patch data, member
+        ``i`` at ``arena.offsets[i]``.
+        """
+        import math
+
+        from ..pdat.arena import HostArena
+
+        arena = HostArena(sum(math.prod(shape) for _, _, shape in items))
+        return arena, [allocate_host(var, box, buffer=arena.place(shape))
+                       for var, box, shape in items]
+
     def allocate_level(self, level, variables, comm) -> None:
         """Arena-pooled allocation of every variable on every patch."""
         import math
@@ -120,6 +135,23 @@ class CudaDataFactory:
         if rank.device is None:
             raise ValueError(f"rank {rank.index} has no device for CUDA data")
         return allocate_device(var, box, rank.device)
+
+    def allocate_temps(self, items, rank) -> tuple:
+        """Schedule temporaries carved back to back from one device slab
+        (:class:`~repro.cupdat.arena.DeviceArena`, released with its last
+        member); ``items`` and the result as for
+        :meth:`HostDataFactory.allocate_temps`."""
+        import math
+
+        from ..cupdat.arena import DeviceArena
+
+        if rank.device is None:
+            raise ValueError(f"rank {rank.index} has no device for CUDA data")
+        arena = DeviceArena(rank.device,
+                            sum(math.prod(shape) for _, _, shape in items))
+        return arena, [allocate_device(var, box, rank.device,
+                                       darr=arena.place(shape))
+                       for var, box, shape in items]
 
     def allocate_level(self, level, variables, comm) -> None:
         """Arena-pooled allocation of every variable on every patch."""

@@ -76,6 +76,11 @@ class HostArena:
                 s == self.shapes[0] for s in self.shapes[1:])
         return self._uniform
 
+    def flat_view(self) -> np.ndarray:
+        """The whole slab as one flat array; member ``i`` starts at
+        ``offsets[i]``, ragged arenas included."""
+        return self.slab
+
     def stacked_view(self) -> np.ndarray:
         """The whole slab as one (P, f0, f1) array, members on axis 0.
 

@@ -17,7 +17,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..mesh.patch import Patch
     from ..mesh.variables import Variable
 
-__all__ = ["index_box_for", "frame_box_for", "ghost_fill_pieces", "clamp_extend"]
+__all__ = ["index_box_for", "frame_box_for", "ghost_fill_pieces", "clamp_indices",
+           "clamp_extend"]
 
 
 def index_box_for(var: "Variable", box: Box) -> Box:
@@ -43,20 +44,38 @@ def ghost_fill_pieces(var: "Variable", patch: "Patch") -> BoxContainer:
     return BoxContainer(frame.remove_intersection(interior))
 
 
-def clamp_extend(arr, frame: Box, valid: Box) -> None:
-    """Fill every element outside ``valid`` from the nearest valid element.
+def clamp_indices(frame: Box, valid: Box):
+    """``(dst, src)`` flat indices extending ``valid`` over ``frame``.
 
-    Zero-gradient extension used as the fallback for interpolation-stencil
-    cells that poke outside the physical domain; the fine patch's physical
-    boundary routine overwrites anything that actually matters afterwards.
+    Every element of a C-ordered array covering ``frame`` that lies
+    outside ``valid`` takes the value of the nearest valid element
+    (zero-gradient extension); elements inside map to themselves and are
+    left out.
     """
     import numpy as np
 
     v = frame.intersection(valid)
     if v.is_empty():
         raise ValueError("no valid region to extend from")
-    idx = []
-    for axis in range(frame.dim):
-        i = np.arange(frame.lower[axis], frame.upper[axis] + 1)
-        idx.append(np.clip(i, v.lower[axis], v.upper[axis]) - frame.lower[axis])
-    arr[...] = arr[np.ix_(*idx)]
+    idx = [np.clip(np.arange(frame.lower[a], frame.upper[a] + 1),
+                   v.lower[a], v.upper[a]) - frame.lower[a]
+           for a in range(frame.dim)]
+    src = np.ravel_multi_index(np.ix_(*idx), tuple(frame.shape())).reshape(-1)
+    moved = src != np.arange(src.size)
+    return np.flatnonzero(moved), src[moved]
+
+
+def clamp_extend(arr, frame: Box, valid: Box) -> None:
+    """Fill every element outside ``valid`` from the nearest valid element.
+
+    Zero-gradient extension used as the fallback for interpolation-stencil
+    cells that poke outside the physical domain; the fine patch's physical
+    boundary routine overwrites anything that actually matters afterwards.
+    The schedules run the same indices compiled once
+    (:class:`~repro.xfer.interp_program.ClampProgram`).
+    """
+    import numpy as np
+
+    dst, src = clamp_indices(frame, valid)
+    shape = tuple(frame.shape())
+    arr[np.unravel_index(dst, shape)] = arr[np.unravel_index(src, shape)]

@@ -26,13 +26,18 @@ import functools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from ..check.context import active as _check_active
 from ..exec.backend import frame_of
-from ..exec.plan import CopyPlan, StreamPlan, relative
+from ..exec.plan import CopyPlan, StreamPlan
 from ..mesh.box import Box, IntVector
 from ..mesh.box_container import BoxContainer
 from ..mesh.variables import Variable
-from .overlap import clamp_extend, frame_box_for, ghost_fill_pieces, index_box_for
+from .interp_program import (
+    ClampProgram, GatherProgram, RefineProgram, TempBlock, UnpackPlan,
+    block_indices, check_extent, flat_of, index_array, region_indices)
+from .overlap import frame_box_for, ghost_fill_pieces, index_box_for
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..comm.simcomm import SimCommunicator
@@ -217,89 +222,227 @@ class _InterpPlan:
     """One interpolation region of one signature group, lowered.
 
     Holds what every fill of the region needs, derived once: the
-    temporary coarse blocks' variables and boxes, the relative slices of
-    every gather into them, the source-side stream plans of cross-rank
-    gathers, which temps need a clamp (and against which valid box), the
-    destination patch data and the sources each halo stamp names.  The
-    temps themselves are allocated and freed on every fill.
+    temporaries' variables, boxes and frame shape (spec ``j``'s temp
+    starts at ``j * frame_size`` of the region's temp block), the
+    same-rank coarse sources, the source-side stream plans of cross-rank
+    sources and where each stream lands in the temp block, the clamp
+    program of temps reaching outside the coarse domain, the destination
+    patch data and the sources each halo stamp names.  The index arrays
+    of the refine and gather work (:mod:`repro.xfer.interp_program`)
+    are lowered on demand: into this region's own programs (unbatched
+    fills, the task graph) or into the stacked programs of its
+    destination rank (batched fills, :meth:`_FillPlan.stacked`).  Only
+    the temp storage is made per fill: one arena per region or per
+    destination rank.
     """
 
-    __slots__ = ("specs", "ig", "dst_owner", "temps", "dst_pds",
-                 "stamp_srcs", "gathers", "gather_total", "streams",
-                 "clamps")
+    __slots__ = ("specs", "ig", "ratio", "dst_owner", "temps", "frame_size",
+                 "dst_pds", "stamp_srcs", "local_sources", "streams",
+                 "clamp", "_gather", "_program", "_unpacks")
 
     def __init__(self, specs: list[FillSpec], ig: _InterpGeom,
-                 coarse_level: "PatchLevel"):
+                 coarse_level: "PatchLevel", ratio: IntVector):
         self.specs = specs
         self.ig = ig
+        self.ratio = ratio
         self.dst_owner = ig.dst_patch.owner
-        #: (temp variable, temp box) per spec; every temp's storage
-        #: frame is ``ig.coarse_frame`` (see :func:`temp_box_for`)
+        frame = ig.coarse_frame
+        shape = tuple(frame.shape())
+        #: (temp variable, temp box, frame shape) per spec; every temp's
+        #: storage frame is ``ig.coarse_frame`` (see :func:`temp_box_for`)
         self.temps = tuple((temp_variable(spec.var),
-                            temp_box_for(spec.var, ig.coarse_frame))
+                            temp_box_for(spec.var, frame), shape)
                            for spec in specs)
+        self.frame_size = frame.size()
         names = [spec.var.name for spec in specs]
         self.dst_pds = tuple(ig.dst_patch.data(n) for n in names)
         self.stamp_srcs = tuple(
             tuple(sp.data(n) for sp, _ in ig.sources) for n in names)
-        #: same-rank sources: (spec index, src_pd, temp slices, source
-        #: slices)
+        #: same-rank sources: (coarse patch, region of the temps)
+        self.local_sources = tuple(
+            (sp, sub) for sp, sub in ig.sources if sp.owner == self.dst_owner)
+        #: cross-rank sources: (src owner, source stream plan, region of
+        #: the temps)
+        self.streams = tuple(
+            (sp.owner, StreamPlan.compile([(sp.data(n), sub) for n in names]),
+             sub)
+            for sp, sub in ig.sources if sp.owner != self.dst_owner)
+        #: clamp of one temp, when the frame reaches outside the coarse
+        #: domain (every spec of a signature group shares frame and valid
+        #: box, so all of its temps clamp alike)
+        valid = index_box_for(specs[0].var, coarse_level.domain)
+        self.clamp = (None if valid.contains_box(frame)
+                      else ClampProgram.compile(frame, valid))
+        self._gather: GatherProgram | None = None
+        self._program: RefineProgram | None = None
+        self._unpacks: list | None = None
+
+    def regions(self, offsets=None) -> list:
+        """The region's refine work as :class:`RefineProgram` regions:
+        ``(formula, stencil indices, weights, [(temp offset, dst_pd,
+        destination indices)])`` per distinct stencil (one, unless the
+        specs mix operators).  ``offsets[j]`` places spec ``j``'s temp,
+        by default at ``j * frame_size``."""
+        frame, region = self.ig.coarse_frame, self.ig.region
+        stencils: dict = {}
+        dsts: dict = {}
+        for j, (spec, dst_pd) in enumerate(zip(self.specs, self.dst_pds)):
+            op, axis = spec.refine_op, spec.var.axis
+            key = (type(op), axis)
+            entry = stencils.get(key)
+            if entry is None:
+                entry = stencils[key] = (
+                    op.formula, *op.stencil(frame, region, self.ratio, axis),
+                    [])
+            dst_frame = frame_of(dst_pd)
+            dst = dsts.get(dst_frame)
+            if dst is None:
+                dst = dsts[dst_frame] = region_indices(region, dst_frame)
+            entry[3].append((j * self.frame_size if offsets is None
+                             else offsets[j], dst_pd, dst))
+        return list(stencils.values())
+
+    def gathers(self) -> list:
+        """``(spec index, offset in the temp block, src_pd, source
+        indices, temp indices)`` per same-rank source and spec."""
+        frame = self.ig.coarse_frame
+        items = []
+        for src_patch, sub in self.local_sources:
+            into = region_indices(sub, frame)
+            srcs: dict = {}
+            for j, spec in enumerate(self.specs):
+                src_pd = src_patch.data(spec.var.name)
+                src_frame = frame_of(src_pd)
+                src = srcs.get(src_frame)
+                if src is None:
+                    src = srcs[src_frame] = region_indices(sub, src_frame)
+                items.append((j, j * self.frame_size, src_pd, src, into))
+        return items
+
+    def stream_indices(self) -> list:
+        """Flat indices, in one temp, of each cross-rank stream's region."""
+        return [region_indices(sub, self.ig.coarse_frame)
+                for _, _, sub in self.streams]
+
+    @property
+    def unpacks(self) -> list:
+        """Where each cross-rank stream lands in the region's own temp
+        block: every spec's temp in turn, as the stream packs them."""
+        if self._unpacks is None:
+            self._unpacks = [
+                block_indices(into, len(self.specs), self.frame_size)
+                for into in self.stream_indices()]
+        return self._unpacks
+
+    @property
+    def refine_elements(self) -> int:
+        """Fine elements one fill of the region writes, over all specs."""
+        return self.ig.region.size() * len(self.specs)
+
+    @property
+    def program(self) -> RefineProgram:
+        """The region's refine program over its own temp block."""
+        if self._program is None:
+            self._program = RefineProgram.compile(self.regions())
+        return self._program
+
+    def allocate(self, factory, rank) -> TempBlock:
+        """This fill's temporary coarse blocks, one per spec, in one arena."""
+        return TempBlock(*factory.allocate_temps(self.temps, rank))
+
+    @property
+    def gather(self) -> GatherProgram:
+        """The region's same-rank gathers into its own temp block."""
+        if self._gather is None:
+            self._gather = GatherProgram.compile(self.gathers())
+        return self._gather
+
+
+class _RankInterps:
+    """Every interpolation region with one destination rank, stacked.
+
+    ``items`` lays out the rank's temp slab: per signature group, the
+    temps of its first spec for every region, then of its second, and
+    so on, so every region of the group finds its specs' temps at the
+    same relative offsets and the group's refines stack into one
+    broadcast gather (:class:`RefineProgram`).  ``gather``, ``clamp`` and
+    ``refine`` are the fused same-rank gather, clamp and refine programs
+    over the slab; ``slots`` maps each region (by id) to its temps'
+    indices and where its cross-rank streams land.  ``clamp_members`` holds ``(temp
+    index, elements)`` and ``refine_members`` ``(temp index, elements,
+    dst_pd, marks)``: the per-temp declarations the fused launches
+    carry, in the order the per-region launches had them.
+    """
+
+    __slots__ = ("owner", "items", "slots", "gather", "clamp",
+                 "clamp_members", "refine", "refine_members")
+
+    def __init__(self, owner: int, interps, ghost: bool):
+        self.owner = owner
+        groups: dict[int, list] = {}
+        for ip in interps:
+            groups.setdefault(id(ip.specs), []).append(ip)
+        items: list = []
+        #: (id(region), spec index) -> (temp index, offset in the slab)
+        place: dict = {}
+        offset = 0
+        for ips in groups.values():
+            for j in range(len(ips[0].specs)):
+                for ip in ips:
+                    place[id(ip), j] = (len(items), offset)
+                    items.append(ip.temps[j])
+                    offset += ip.frame_size
+        check_extent(offset)
+        self.items = tuple(items)
+        self.slots: dict[int, tuple] = {}
         gathers = []
-        self.gather_total = 0
-        #: cross-rank sources: (src owner, source stream plan, temp
-        #: slices, elements per spec, region shape)
-        streams = []
-        for src_patch, sub in ig.sources:
-            temp_sl, shape = relative(sub, ig.coarse_frame)
-            if src_patch.owner == self.dst_owner:
-                for j, name in enumerate(names):
-                    src_pd = src_patch.data(name)
-                    gathers.append((
-                        j, src_pd, temp_sl,
-                        relative(sub, frame_of(src_pd))[0]))
-                    self.gather_total += sub.size()
-            else:
-                pack = StreamPlan.compile(
-                    [(src_patch.data(n), sub) for n in names])
-                streams.append((src_patch.owner, pack, temp_sl, sub.size(),
-                                shape))
-        self.gathers = tuple(gathers)
-        self.streams = tuple(streams)
-        #: (spec index, temp frame, valid box) of temps reaching outside
-        #: the coarse domain
         clamps = []
-        for j, spec in enumerate(specs):
-            valid = index_box_for(spec.var, coarse_level.domain)
-            if not valid.contains_box(ig.coarse_frame):
-                clamps.append((j, ig.coarse_frame, valid))
-        self.clamps = tuple(clamps)
+        self.clamp_members = []
+        regions = []
+        self.refine_members = []
+        for ip in interps:
+            temps = [place[id(ip), j] for j in range(len(ip.specs))]
+            self.slots[id(ip)] = (
+                tuple(i for i, _ in temps),
+                tuple(index_array(np.concatenate(
+                          [off + into for _, off in temps]))
+                      for into in ip.stream_indices()))
+            gathers.extend((temps[j][0], temps[j][1], src_pd, src, into)
+                           for j, _, src_pd, src, into in ip.gathers())
+            regions.extend(ip.regions([off for _, off in temps]))
+            n = ip.ig.region.size()
+            for j, dst_pd in enumerate(ip.dst_pds):
+                index, off = temps[j]
+                if ip.clamp is not None:
+                    clamps.append((off, ip.clamp))
+                    self.clamp_members.append((index, ip.clamp.elements))
+                marks = ((("stamp", dst_pd, ip.stamp_srcs[j]),) if ghost
+                         else ())
+                self.refine_members.append((index, n, dst_pd, marks))
+        self.gather = GatherProgram.compile(gathers) if gathers else None
+        self.clamp = ClampProgram.stack(clamps) if clamps else None
+        self.refine = RefineProgram.compile(regions)
 
-    def allocate(self, factory, rank) -> list:
-        """This fill's temporary coarse blocks, one per spec."""
-        return [factory.allocate(temp_var, temp_box, rank)
-                for temp_var, temp_box in self.temps]
+    def clamp_batch(self, block: TempBlock, slab) -> tuple[list, object]:
+        """``(members, body)`` of this fill's fused clamp launch."""
+        from ..exec.batch import BatchMember
 
-    def extend_gather(self, temps, dsts, srcs, rest) -> None:
-        """Append the same-rank gathers into ``temps`` to a copy batch."""
-        for j, src_pd, temp_sl, src_sl in self.gathers:
-            temp = temps[j]
-            dsts.append(temp)
-            srcs.append(src_pd)
-            rest.append((temp, src_pd, temp_sl, src_sl))
+        temps = [block.pds[i] for i, _ in self.clamp_members]
+        members = [BatchMember(n, None, reads=(t,), writes=(t,), slab=slab)
+                   for t, (_, n) in zip(temps, self.clamp_members)]
+        clamp = self.clamp
+        return members, lambda: clamp.run(block.flat(temps))
 
-    def gather_plan(self, temps) -> CopyPlan:
-        dsts, srcs, rest = [], [], []
-        self.extend_gather(temps, dsts, srcs, rest)
-        return CopyPlan(dsts, srcs, self.gather_total, (), rest)
+    def refine_batch(self, block: TempBlock, slab) -> tuple[list, object]:
+        """``(members, body)`` of this fill's fused refine launch."""
+        from ..exec.batch import BatchMember
 
-    @staticmethod
-    def unpack_plan(temps, temp_sl, n: int, shape) -> StreamPlan:
-        """The destination side of one cross-rank gather: ``n`` elements
-        per temp, in spec order."""
-        return StreamPlan(
-            temps, n * len(temps), (),
-            [(temp, temp_sl, j * n, (j + 1) * n, shape)
-             for j, temp in enumerate(temps)])
+        temps = block.pds
+        members = [BatchMember(n, None, reads=(temps[i],), writes=(pd,),
+                               marks=marks, slab=slab)
+                   for i, n, pd, marks in self.refine_members]
+        refine = self.refine
+        return members, lambda: refine.run(block.flat())
 
 
 def _group_copies(items) -> tuple[list, list]:
@@ -348,7 +491,9 @@ class _FillPlan:
             unpack = StreamPlan.compile([(dst.data(n), r) for n, r in named])
             self.streams.append((src.owner, dst.owner, pack, unpack,
                                  pack.total * 8 + MESSAGE_HEADER_BYTES))
-        self.interps = [_InterpPlan(group, ig, sched.coarse_level)
+        self._ghost = not sched.interior
+        self.interps = [_InterpPlan(group, ig, sched.coarse_level,
+                                    sched.dst_level.ratio_to_coarser)
                         for geom, group in sched.sig_groups
                         for ig in geom.interps]
         #: (dst patch, patch data) whose timestamps a timed fill sets
@@ -356,6 +501,7 @@ class _FillPlan:
                       for dst in sched.dst_level]
         self._by_owner: list | None = None
         self._by_dst: list | None = None
+        self._stacked: tuple | None = None
 
     def copies_by_owner(self) -> list:
         """(owner, CopyPlan): one fused copy per owning rank (batched).
@@ -379,6 +525,34 @@ class _FillPlan:
             self._by_dst = [(dst.owner, CopyPlan.compile(items))
                             for dst, items in _group_copies(self._items)[0]]
         return self._by_dst
+
+    def _first_use(self, ranks: dict, uses) -> list:
+        """The entries of ``ranks`` whose regions ``uses``, in the order
+        of their first such region."""
+        owners = [ip.dst_owner for ip in self.interps if uses(ip)]
+        return [ranks[o] for o in dict.fromkeys(owners)]
+
+    def stacked(self) -> tuple:
+        """``(ranks, gathered, clamped)``: the interpolation regions
+        stacked per destination rank (batched fills), compiled on first
+        request.
+
+        ``ranks`` maps each destination rank, in first-use order, to its
+        :class:`_RankInterps`; ``gathered``/``clamped`` list those with
+        same-rank gathers/clamps in first-use order (the launch orders of
+        the per-region path).
+        """
+        if self._stacked is None:
+            by_owner: dict[int, list] = {}
+            for ip in self.interps:
+                by_owner.setdefault(ip.dst_owner, []).append(ip)
+            ranks = {owner: _RankInterps(owner, ips, self._ghost)
+                     for owner, ips in by_owner.items()}
+            self._stacked = (
+                ranks,
+                self._first_use(ranks, lambda ip: ip.local_sources),
+                self._first_use(ranks, lambda ip: ip.clamp is not None))
+        return self._stacked
 
 
 class RefineSchedule:
@@ -407,8 +581,8 @@ class RefineSchedule:
         self.interior = interior
         #: fuse clamp/refine/boundary kernels into batched launches
         self.batch = batch
-        #: ``--kernels slab``: fill work is inherently per-region (ragged
-        #: halo bodies, per-region interpolation temps), so its fused
+        #: ``--kernels slab``: fill work does not tile a uniform arena
+        #: (ragged halo bodies, interpolation regions), so its fused
         #: launches are marked as deliberate slab fallbacks
         self.slab = slab
         if src_level is None and not interior:
@@ -580,38 +754,37 @@ class RefineSchedule:
         from ..sched.task import TaskKind
 
         dst_rank = self.comm.rank(ip.dst_owner)
-        temps = ip.allocate(self.factory, dst_rank)
-        for src_owner, pack, *unpack in ip.streams:
+        block = ip.allocate(self.factory, dst_rank)
+        temps = block.pds
+        for (src_owner, pack, _), idx in zip(ip.streams, ip.unpacks):
             gb.stream_batch(
                 self.comm.rank(src_owner), dst_rank, pack,
-                ip.unpack_plan(temps, *unpack),
+                UnpackPlan(temps, block, idx),
                 f"fill.interp.L{self.dst_level.level_number}",
             )
-        if ip.gathers:
-            gb.copy(dst_rank, ip.gather_plan(temps), "fill.gather")
+        if ip.local_sources:
+            gb.copy(dst_rank, ip.gather.plan(block), "fill.gather")
 
-        for j, frame, valid in ip.clamps:
-            temp = temps[j]
-            gb.kernel_task(
-                backend_for(temp, dst_rank), dst_rank, "pdat.copy",
-                frame.size(),
-                lambda temp=temp, frame=frame, valid=valid: clamp_extend(
-                    array_of(temp), frame, valid),
-                [temp], [temp])
+        clamp = ip.clamp
+        if clamp is not None:
+            for temp in temps:
+                gb.kernel_task(
+                    backend_for(temp, dst_rank), dst_rank, "pdat.copy",
+                    clamp.elements,
+                    lambda temp=temp: clamp.run(flat_of(array_of(temp))),
+                    [temp], [temp])
 
-        specs = ip.specs
         ghost = not self.interior
         marks = ([("stamp", pd, srcs)
                   for pd, srcs in zip(ip.dst_pds, ip.stamp_srcs)]
                  if ghost else ())
         gb.add(TaskKind.KERNEL, dst_rank.index, "fill.refine",
-               lambda _stream: self._fused_refine(specs, temps, ip.ig,
-                                                  dst_rank),
+               lambda _stream: self._refine_region(ip, block, dst_rank),
                reads=temps, writes=list(ip.dst_pds), ghost_only=ghost,
                marks=marks)
 
         def free_temps(stream):
-            _free(temps)
+            _free(block.pds)
 
         gb.add(TaskKind.HOST, dst_rank.index, "fill.free", free_temps,
                writes=temps)
@@ -619,103 +792,127 @@ class RefineSchedule:
     def _execute_interp_group(self, ip: "_InterpPlan", messages) -> None:
         """Interpolate one region for every variable of one signature.
 
-        Temporary coarse blocks (one per variable) are gathered together:
-        same-rank source copies fuse into one kernel, cross-rank sources
-        send one message stream covering all variables, and the refine
-        operator runs once per region with all variables fused.
+        Temporary coarse blocks (one per variable, carved from one arena)
+        are gathered together: same-rank source copies fuse into one
+        kernel, cross-rank sources send one message stream covering all
+        variables, and the region's refine program runs once with all
+        variables fused.
         """
         from ..comm.simcomm import Message
+        from ..exec.backend import array_of, run_on
         from .message import copy_batch_local, pack_batch, unpack_batch
         from .transfer import MESSAGE_HEADER_BYTES
 
         dst_rank = self.comm.rank(ip.dst_owner)
-        temps = ip.allocate(self.factory, dst_rank)
-        for src_owner, pack, *unpack in ip.streams:
+        block = ip.allocate(self.factory, dst_rank)
+        temps = block.pds
+        for (src_owner, pack, _), idx in zip(ip.streams, ip.unpacks):
             buf = pack_batch(pack, self.comm.rank(src_owner))
             messages.append(Message(src_owner, ip.dst_owner,
                                     pack.total * 8 + MESSAGE_HEADER_BYTES))
-            unpack_batch(buf, ip.unpack_plan(temps, *unpack), dst_rank)
-        if ip.gathers:
-            copy_batch_local(ip.gather_plan(temps), dst_rank)
+            unpack_batch(buf, UnpackPlan(temps, block, idx), dst_rank)
+        if ip.local_sources:
+            copy_batch_local(ip.gather.plan(block), dst_rank)
 
-        for j, frame, valid in ip.clamps:
-            self._clamp_temp(temps[j], frame, valid, dst_rank)
-        self._fused_refine(ip.specs, temps, ip.ig, dst_rank)
+        clamp = ip.clamp
+        if clamp is not None:
+            for temp in temps:
+                run_on(temp, dst_rank, "pdat.copy", clamp.elements,
+                       lambda temp=temp: clamp.run(flat_of(array_of(temp))))
+        self._refine_region(ip, block, dst_rank)
         chk = _check_active()
         if chk is not None and not self.interior:
             for pd, srcs in zip(ip.dst_pds, ip.stamp_srcs):
                 chk.stamp(pd, srcs)
-        _free(temps)
+        _free(block.pds)
+
+    def _refine_region(self, ip: "_InterpPlan", block, dst_rank) -> None:
+        """One refine launch running the region's program for every
+        variable of its signature (a fused launch of one member per
+        variable under ``--batch``)."""
+        program = ip.program
+
+        def body():
+            program.run(block.flat())
+
+        if not self.batch:
+            from ..exec.backend import run_on
+
+            run_on(ip.dst_pds[0], dst_rank, "geom.refine",
+                   ip.refine_elements, body)
+            return
+        # Scheduler path: the surrounding fill.refine task declares the
+        # union of operands and carries the halo stamps.
+        from ..exec.backend import backend_for
+        from ..exec.batch import SLAB_FALLBACK, BatchMember
+
+        slab = SLAB_FALLBACK if self.slab else None
+        n = ip.ig.region.size()
+        members = [BatchMember(n, None, reads=(temp,), writes=(pd,), slab=slab)
+                   for temp, pd in zip(block.pds, ip.dst_pds)]
+        backend_for(block.pds[0], dst_rank).run_batched(
+            "geom.refine", members, body=body)
 
     def _fill_interps_batched(self, messages) -> None:
         """Batched interpolation: gather every temp block first, then one
-        clamp launch and one refine launch per destination backend.
+        clamp launch and one refine launch per destination rank.
 
+        Each rank's temps of this fill are carved from one slab, laid out
+        by the stacked plan (:meth:`_FillPlan.stacked`); a launch runs
+        that rank's compiled program — a few gathers, one formula
+        evaluation per operator and one scatter per destination storage.
         Interp regions are mutually disjoint (per-destination remainders
         after copy subtraction, coalesced) and each temp is private to its
-        region, so fusing across regions and variables is bitwise-safe.
-        Halo stamps ride the fused launch as marks, replacing the
+        region, so stacking regions and variables is bitwise-safe.  The
+        launches keep one member per temp, so kernel names, element
+        totals, declarations and counters are those of per-region
+        launches; halo stamps ride them as marks, replacing the
         per-region ``chk.stamp`` calls of the reference path.
         """
         from ..comm.simcomm import Message
-        from ..exec.backend import array_of, backend_for
-        from ..exec.batch import SLAB_FALLBACK, BatchMember
+        from ..exec.backend import backend_for
+        from ..exec.batch import SLAB_FALLBACK
         from .message import copy_batch_local, pack_batch, unpack_batch
         from .transfer import MESSAGE_HEADER_BYTES
 
         slab = SLAB_FALLBACK if self.slab else None
-
-        entries = []  # (interp plan, temps, dst_rank)
-        gathers: dict[int, tuple] = {}  # dst owner -> (rank, copy batch)
-        for ip in self.plan.interps:
+        plan = self.plan
+        ranks, gathered, clamped = plan.stacked()
+        blocks: dict[int, TempBlock] = {}
+        for ip in plan.interps:
+            stack = ranks[ip.dst_owner]
             dst_rank = self.comm.rank(ip.dst_owner)
-            temps = ip.allocate(self.factory, dst_rank)
-            for src_owner, pack, *unpack in ip.streams:
+            block = blocks.get(ip.dst_owner)
+            if block is None:
+                block = blocks[ip.dst_owner] = TempBlock(
+                    *self.factory.allocate_temps(stack.items, dst_rank))
+            indices, streams = stack.slots[id(ip)]
+            if not streams:
+                continue
+            temps = [block.pds[i] for i in indices]
+            for (src_owner, pack, _), idx in zip(ip.streams, streams):
                 buf = pack_batch(pack, self.comm.rank(src_owner))
                 messages.append(Message(
                     src_owner, ip.dst_owner,
                     pack.total * 8 + MESSAGE_HEADER_BYTES))
-                unpack_batch(buf, ip.unpack_plan(temps, *unpack), dst_rank)
-            if ip.gathers:
-                entry = gathers.get(ip.dst_owner)
-                if entry is None:
-                    entry = gathers[ip.dst_owner] = (dst_rank, [], [], [], [0])
-                ip.extend_gather(temps, entry[1], entry[2], entry[3])
-                entry[4][0] += ip.gather_total
-            entries.append((ip, temps, dst_rank))
-        for rank, dsts, srcs, rest, total in gathers.values():
-            copy_batch_local(CopyPlan(dsts, srcs, total[0], (), rest), rank)
+                unpack_batch(buf, UnpackPlan(temps, block, idx), dst_rank)
+        for stack in gathered:
+            copy_batch_local(stack.gather.plan(blocks[stack.owner]),
+                             self.comm.rank(stack.owner))
 
+        for stack in clamped:
+            block = blocks[stack.owner]
+            members, body = stack.clamp_batch(block, slab)
+            backend_for(block.pds[0], self.comm.rank(stack.owner)).run_batched(
+                "pdat.copy", members, body=body)
         ghost = not self.interior
-        ratio = self.dst_level.ratio_to_coarser
-        clamps: dict[int, tuple[object, list]] = {}
-        refines: dict[int, tuple[object, list]] = {}
-        for ip, temps, dst_rank in entries:
-            for j, frame, valid in ip.clamps:
-                temp = temps[j]
-                backend = backend_for(temp, dst_rank)
-                entry = clamps.setdefault(id(backend), (backend, []))
-                entry[1].append(BatchMember(
-                    frame.size(),
-                    lambda temp=temp, frame=frame, valid=valid:
-                        clamp_extend(array_of(temp), frame, valid),
-                    reads=(temp,), writes=(temp,), slab=slab))
-            for spec, temp, dst_pd, srcs in zip(ip.specs, temps, ip.dst_pds,
-                                                ip.stamp_srcs):
-                member = spec.refine_op.batch_member(
-                    temp, dst_pd, ip.ig.region, ratio)
-                member.slab = slab
-                if ghost:
-                    member.marks = (("stamp", dst_pd, srcs),)
-                backend = backend_for(dst_pd, dst_rank)
-                entry = refines.setdefault(id(backend), (backend, []))
-                entry[1].append(member)
-        for backend, members in clamps.values():
-            backend.run_batched("pdat.copy", members)
-        for backend, members in refines.values():
-            backend.run_batched("geom.refine", members, ghost_only=ghost)
-        for _, temps, _ in entries:
-            _free(temps)
+        for stack in ranks.values():
+            members, body = stack.refine_batch(blocks[stack.owner], slab)
+            backend_for(stack.refine_members[0][2],
+                        self.comm.rank(stack.owner)).run_batched(
+                "geom.refine", members, ghost_only=ghost, body=body)
+        for block in blocks.values():
+            _free(block.pds)
 
     def _apply_boundary_batched(self, variables, ranks) -> None:
         """One ``update_halo`` launch per rank over its boundary patches."""
@@ -735,51 +932,6 @@ class RefineSchedule:
             entry[1].append(member)
         for backend, members in groups.values():
             backend.run_batched("hydro.update_halo", members, ghost_only=True)
-
-    def _fused_refine(self, specs, temps, ig: _InterpGeom, dst_rank) -> None:
-        """One refine launch covering every variable of the signature."""
-        ratio = self.dst_level.ratio_to_coarser
-        if self.batch:
-            # Scheduler path: the surrounding fill.refine task declares the
-            # union of operands; one batched launch replaces the
-            # per-variable (or homogeneous-op fused) launches.
-            from ..exec.backend import backend_for
-            from ..exec.batch import SLAB_FALLBACK
-
-            members = [
-                spec.refine_op.batch_member(
-                    temp, ig.dst_patch.data(spec.var.name), ig.region, ratio)
-                for spec, temp in zip(specs, temps)
-            ]
-            if self.slab:
-                for member in members:
-                    member.slab = SLAB_FALLBACK
-            backend_for(temps[0], dst_rank).run_batched("geom.refine", members)
-            return
-        op0 = specs[0].refine_op
-        if len(specs) == 1 or any(type(s.refine_op) is not type(op0) for s in specs):
-            for spec, temp in zip(specs, temps):
-                spec.refine_op.apply(
-                    temp, ig.dst_patch.data(spec.var.name),
-                    ig.region, ratio, rank=dst_rank,
-                )
-            return
-        from ..geom.operators import fused_refine_apply
-
-        pairs = [
-            (temp, ig.dst_patch.data(spec.var.name))
-            for spec, temp in zip(specs, temps)
-        ]
-        fused_refine_apply(specs[0].refine_op, pairs, ig.region, ratio, dst_rank)
-
-    def _clamp_temp(self, temp, frame: Box, valid: Box, rank) -> None:
-        """Zero-gradient-extend temp cells outside the coarse domain."""
-        from ..exec.backend import array_of, run_on
-
-        run_on(
-            temp, rank, "pdat.copy", frame.size(),
-            lambda: clamp_extend(array_of(temp), frame, valid),
-        )
 
     # -- statistics ---------------------------------------------------------------
 

@@ -325,6 +325,29 @@ def test_underdeclared_batch_member_is_caught():
         _run_graph(chk, gb.graph)
 
 
+def test_underdeclared_interpolation_member_is_caught(monkeypatch):
+    """A batched fill runs every interpolation region of a rank as one
+    stacked refine body; a member that under-declares its destination
+    write is still caught, because the program scatters through the
+    checker's slab handout, which names the undeclared variable."""
+    from repro.xfer import refine_schedule
+
+    stacked = refine_schedule._RankInterps.refine_batch
+
+    def forgetful(self, block, slab):
+        members, body = stacked(self, block, slab)
+        for m in members:
+            m.writes = tuple(pd for pd in m.writes
+                             if pd.var_name != "energy0")
+        return members, body
+
+    monkeypatch.setattr(refine_schedule._RankInterps, "refine_batch",
+                        forgetful)
+    with pytest.raises(DeclaredAccessError, match="undeclared: energy0"):
+        run(_config(execution=ExecutionPolicy(batch=True, scheduler=False),
+                    sanitize=True))
+
+
 def test_sanitize_batched_run_is_clean_and_identical():
     """``--batch --sanitize`` stays clean under both drivers: fused
     launches declare the union of their members' operands, so the checker
